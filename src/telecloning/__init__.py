@@ -35,6 +35,7 @@ from .homodyne import (
     condition_on,
     marginal,
     sample_homodyne,
+    shot_normals,
     shot_stream,
 )
 from .resource import (
@@ -51,6 +52,7 @@ from .protocol import (
     ProtocolConfig,
     QuadratureMoments,
     ShotRecord,
+    ShotRecords,
     alice_trace_levels,
     circuit_states,
     clone_output_state,

@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, load_config, opo_params_from, protocol_config_from
 from .gaussian import PhysicalityError
+from .homodyne import RNG_CONTRACT
 from .metrics import (
     UndefinedGainError,
     estimate_gains,
@@ -42,6 +43,8 @@ from .resource import (
 
 PATH_AGREEMENT_TOL = 1e-9
 _FLOAT_FMT = "%.12g"
+_CSV_ROW = "%d" + ("," + _FLOAT_FMT) * 6 + "\n"  # shot index and ShotRecord
+_CSV_BLOCK_ROWS = 1 << 13
 
 
 def _moments_dict(moments: CloneMoments) -> dict:
@@ -131,12 +134,14 @@ def cmd_sample(args) -> int:
     moments, records = run_monte_carlo(config, sampled=args.sampled)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["shot", "x_u", "p_v", "x1", "p1", "x2", "p2"])
-            for j, r in enumerate(records):
-                writer.writerow([j] + [_FLOAT_FMT % v for v in
-                                       (r.x_u, r.p_v, r.x1, r.p1, r.x2, r.p2)])
+            handle.write("shot,x_u,p_v,x1,p1,x2,p2\n")
+            # blocks of rows keep the formatted text small at any shot count
+            for first in range(0, len(records), _CSV_BLOCK_ROWS):
+                block = records.columns[:, first:first + _CSV_BLOCK_ROWS]
+                rows = zip(range(first, first + block.shape[1]), *block.tolist())
+                handle.write("".join(_CSV_ROW % row for row in rows))
     out = _run_output(cfg, config, moments, "monte-carlo")
+    out["provenance"]["rng"] = RNG_CONTRACT
     _emit(out)
     _summary([
         f"{config.shots} shots, seed {config.seed}",

@@ -10,14 +10,16 @@ Example::
     alpha_re = 5.0
     alpha_im = 3.0
 
-Unknown sections or keys are rejected; missing keys take the defaults
-below, so a minimal file only pins what the experiment varies.
+Unknown sections or keys, and non-finite numbers (nan, inf), are
+rejected; missing keys take the defaults below, so a minimal file only
+pins what the experiment varies.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
+import math
 
 from .opo import OPOParams
 from .protocol import ProtocolConfig
@@ -72,11 +74,16 @@ def parse_config(text: str) -> dict:
                     f"unknown key '{section}.{key}'{_line_of(text, key)}")
             caster, _ = _SCHEMA[section][key]
             try:
-                cfg[f"{section}.{key}"] = caster(raw)
+                value = caster(raw)
             except ValueError as exc:
                 raise ConfigError(
                     f"invalid value for '{section}.{key}': "
                     f"{raw!r}{_line_of(text, key)}") from exc
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"non-finite value for '{section}.{key}': "
+                    f"{raw!r}{_line_of(text, key)}")
+            cfg[f"{section}.{key}"] = value
     return cfg
 
 

@@ -19,12 +19,15 @@ The same physics is evaluated by three routes that must agree:
     is outcome independent and the output mean is the outcome average.
 
 ``run_monte_carlo``
-    Samples the two measurement outcomes shot by shot from independent
-    counter-based streams, applies the same displacements, and estimates
-    moments. The clone variance combines the spread of the per-shot
-    conditional means with the constant conditional covariance (law of
-    total variance); ``sampled=True`` instead draws one quadrature value
-    per clone per shot and estimates everything from raw samples.
+    Samples the two measurement outcomes of every shot from counter-based
+    draws keyed by (seed, shot), applies the same displacements, and
+    estimates moments. Shots are computed as numpy arrays in fixed-size
+    chunks, each output an elementwise expression of the shot's own
+    draws, so shot j is bit-identical however the shots are batched. The
+    clone variance combines the spread of the per-shot conditional means
+    with the constant conditional covariance (law of total variance);
+    ``sampled=True`` instead draws one quadrature value per clone per shot
+    and estimates everything from raw samples.
 
 Imperfections: per-mode resource transmissivities; homodyne efficiency
 as a loss channel on the measured ports, with the configured gains
@@ -36,7 +39,9 @@ the displacement.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,12 +59,18 @@ from .gaussian import (
 from .homodyne import (
     DEGENERATE_VARIANCE_TOL,
     DegenerateVarianceError,
-    shot_stream,
+    shot_normals,
+    shot_stream,  # re-exported: draws shot j's normals one at a time
 )
 from .resource import SqueezerSpec, build_telecloning_resource
 
 # mode layout of the joint state before the sender's beam splitter
 MODE_IN, MODE_A, MODE_B, MODE_C = 0, 1, 2, 3
+
+# shots per Monte Carlo chunk: bounds the temporaries at any shot count;
+# on a 2-core x86 host 2**13 ran the Philox kernel faster than 2**12 or
+# 2**14..2**16 (its working set stays in cache)
+_CHUNK_SHOTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -125,6 +136,47 @@ class ShotRecord:
     p1: float
     x2: float
     p2: float
+
+
+class ShotRecords(Sequence):
+    """Read-only sequence of ``ShotRecord`` stored as six column arrays.
+
+    ``columns[k]`` holds field k of ``ShotRecord`` for every shot. Records
+    compare equal to another ``ShotRecords`` or to any sequence of
+    ``ShotRecord`` with the same values.
+    """
+
+    __hash__ = None
+
+    def __init__(self, columns: np.ndarray):
+        self._columns = columns.view()  # (6, shots)
+        self._columns.flags.writeable = False
+
+    @property
+    def columns(self) -> np.ndarray:
+        return self._columns
+
+    def __len__(self) -> int:
+        return self._columns.shape[1]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ShotRecords(self._columns[:, index])
+        return ShotRecord(*self._columns[:, index].tolist())
+
+    def __iter__(self):
+        return itertools.starmap(ShotRecord, zip(*self._columns.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ShotRecords):
+            return bool(np.array_equal(self._columns, other._columns))
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(
+                mine == theirs for mine, theirs in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ShotRecords({len(self)} shots)"
 
 
 def run_analytic(config: ProtocolConfig) -> CloneMoments:
@@ -262,28 +314,51 @@ def run_circuit_analytic(config: ProtocolConfig) -> CloneMoments:
     )
 
 
+def _simulate_shots(plan: _MeasurementPlan, seed: int, first_shot: int,
+                    n_shots: int, cond_sqrt: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Shots first_shot .. first_shot + n_shots - 1 as columns.
+
+    Each shot samples x_u, then p_v given x_u, then displaces. Returns the
+    (6, n_shots) ``ShotRecord`` fields and, with ``cond_sqrt``, the
+    (4, n_shots) raw clone quadratures driven by draws 2-5 of each shot.
+    Every output is an elementwise expression of the shot's own draws
+    (no matrix products), so a shot's values do not depend on the batch.
+    """
+    z = shot_normals(seed, first_shot, n_shots, 2 if cond_sqrt is None else 6)
+    mu_x, mu_p = plan.mu_q
+    v_x = plan.sigma_q[0, 0]
+    slope = plan.sigma_q[1, 0] / v_x
+    v_p_given = plan.sigma_q[1, 1] - plan.sigma_q[1, 0] ** 2 / v_x
+    x_u = mu_x + math.sqrt(v_x) * z[:, 0]
+    p_v = (mu_p + slope * (x_u - mu_x)) + math.sqrt(max(v_p_given, 0.0)) * z[:, 1]
+
+    # clone means = base_mean + gain_map (m - mu_q) + ffwd m
+    total = plan.gain_map + plan.ffwd
+    offset = plan.base_mean - plan.gain_map @ plan.mu_q
+    records = np.empty((6, n_shots))
+    records[0], records[1] = x_u, p_v
+    for k in range(4):
+        records[2 + k] = offset[k] + total[k, 0] * x_u + total[k, 1] * p_v
+    if cond_sqrt is None:
+        return records, None
+    draws = np.empty((4, n_shots))
+    for k in range(4):
+        draws[k] = records[2 + k] + sum(cond_sqrt[k, i] * z[:, 2 + i]
+                                        for i in range(4))
+    return records, draws
+
+
 def _simulate_shot(plan: _MeasurementPlan, seed: int, shot_index: int,
                    cond_sqrt: np.ndarray | None = None
                    ) -> tuple[ShotRecord, np.ndarray | None]:
-    """One shot: sample x_u, then p_v given x_u, then displace.
+    """One shot, computed exactly as ``run_monte_carlo`` computes it.
 
     Draw k of shot j comes from stream (seed, j), so results do not
     depend on the order shots are executed in.
     """
-    rng = shot_stream(seed, shot_index)
-    v_x = plan.sigma_q[0, 0]
-    m_x = rng.normal(plan.mu_q[0], math.sqrt(v_x))
-    slope = plan.sigma_q[1, 0] / v_x
-    v_p_given = plan.sigma_q[1, 1] - plan.sigma_q[1, 0] ** 2 / v_x
-    m_p = rng.normal(plan.mu_q[1] + slope * (m_x - plan.mu_q[0]),
-                     math.sqrt(max(v_p_given, 0.0)))
-    m = np.array([m_x, m_p])
-    means = plan.base_mean + plan.gain_map @ (m - plan.mu_q) + plan.ffwd @ m
-    record = ShotRecord(float(m_x), float(m_p), *(float(v) for v in means))
-    draws = None
-    if cond_sqrt is not None:
-        draws = means + cond_sqrt @ rng.standard_normal(4)
-    return record, draws
+    records, draws = _simulate_shots(plan, seed, shot_index, 1, cond_sqrt)
+    return ShotRecord(*records[:, 0].tolist()), None if draws is None else draws[:, 0]
 
 
 def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
@@ -292,14 +367,14 @@ def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
 
 
 def run_monte_carlo(config: ProtocolConfig, sampled: bool = False
-                    ) -> tuple[CloneMoments, list[ShotRecord]]:
-    """Shot-by-shot simulation of measurement plus feedforward.
+                    ) -> tuple[CloneMoments, ShotRecords]:
+    """Monte Carlo simulation of measurement plus feedforward.
 
-    Returns estimated clone moments with standard errors and the list of
-    per-shot records. With ``sampled=False`` the variance estimate adds
-    the exact conditional covariance to the spread of the conditional
-    means; with ``sampled=True`` one output quadrature vector is drawn
-    per shot and the moments come from those raw samples.
+    Returns estimated clone moments with standard errors and the per-shot
+    records. With ``sampled=False`` the variance estimate adds the exact
+    conditional covariance to the spread of the conditional means; with
+    ``sampled=True`` one output quadrature vector is drawn per shot and
+    the moments come from those raw samples.
     """
     plan = _measurement_plan(config)
     assert_physical(GaussianState(plan.base_mean, plan.cond_cov),
@@ -307,26 +382,27 @@ def run_monte_carlo(config: ProtocolConfig, sampled: bool = False
     cond_sqrt = _psd_sqrt(plan.cond_cov) if sampled else None
 
     n = config.shots
-    means = np.empty((n, 4))
-    draws = np.empty((n, 4)) if sampled else None
-    records: list[ShotRecord] = []
-    for j in range(n):
-        record, drawn = _simulate_shot(plan, config.seed, j, cond_sqrt)
-        records.append(record)
-        means[j] = (record.x1, record.p1, record.x2, record.p2)
+    records = np.empty((6, n))
+    draws = np.empty((4, n)) if sampled else None
+    for first in range(0, n, _CHUNK_SHOTS):
+        stop = min(first + _CHUNK_SHOTS, n)
+        chunk, drawn = _simulate_shots(plan, config.seed, first, stop - first,
+                                       cond_sqrt)
+        records[:, first:stop] = chunk
         if sampled:
-            draws[j] = drawn
+            draws[:, first:stop] = drawn
+    means = records[2:]
 
     cond_var = np.diag(plan.cond_cov)
     if sampled:
-        mean_hat = draws.mean(axis=0)
-        var_hat = draws.var(axis=0, ddof=1) if n > 1 else cond_var.copy()
+        mean_hat = draws.mean(axis=1)
+        var_hat = draws.var(axis=1, ddof=1) if n > 1 else cond_var.copy()
     else:
-        mean_hat = means.mean(axis=0)
-        between = means.var(axis=0, ddof=1) if n > 1 else np.zeros(4)
+        mean_hat = means.mean(axis=1)
+        between = means.var(axis=1, ddof=1) if n > 1 else np.zeros(4)
         var_hat = between + cond_var
     if n > 1:
-        spread = draws.var(axis=0, ddof=1) if sampled else means.var(axis=0, ddof=1)
+        spread = draws.var(axis=1, ddof=1) if sampled else means.var(axis=1, ddof=1)
         se_mean = np.sqrt(var_hat / n) if sampled else np.sqrt(spread / n)
         se_var = spread * math.sqrt(2.0 / (n - 1))
     else:
@@ -342,7 +418,7 @@ def run_monte_carlo(config: ProtocolConfig, sampled: bool = False
             se_var_p=None if se_var[2 * k + 1] is None else float(se_var[2 * k + 1]),
         )
 
-    return CloneMoments(quad(0), quad(1)), records
+    return CloneMoments(quad(0), quad(1)), ShotRecords(records)
 
 
 def alice_trace_levels(config: ProtocolConfig) -> tuple[float, float]:

@@ -217,3 +217,45 @@ def test_load_config_applies_run_overrides():
     assert config.shots == 100_000
     assert config.seed == 42
     assert config.input_alpha == 5 + 3j
+
+
+@pytest.mark.parametrize("section, key, value", (
+    ("input", "alpha_re", "nan"),
+    ("squeezer_i", "squeezing_db", "inf"),
+    ("gains", "gx1", "-infinity"),
+))
+def test_non_finite_value_is_config_error(section, key, value):
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        parse_config(f"[{section}]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("text", (
+    "[input]\nalpha_re = nan\n",
+    "[squeezer_i]\nsqueezing_db = inf\n",
+))
+def test_sample_non_finite_config_exits_1(capsys, tmp_path, text):
+    bad = tmp_path / "nonfinite.cfg"
+    bad.write_text(text)
+    code, out, err = run_cli(capsys, "sample", str(bad), "--shots", "10")
+    assert code == 1
+    assert out == ""
+    assert "non-finite" in err
+
+
+def test_sample_csv_matches_csv_writer_rendering(capsys, tmp_path):
+    from telecloning import run_monte_carlo
+    path = tmp_path / "shots.csv"
+    code, out, _ = run_cli(capsys, "sample", str(CONFIGS / "paper.cfg"),
+                           "--shots", "300", "--seed", "77", "--csv", str(path))
+    assert code == 0
+    assert json.loads(out)["provenance"]["rng"] == "philox4x64-10/ndtri52/v2"
+    cfg = load_config(str(CONFIGS / "paper.cfg"))
+    cfg["run.shots"], cfg["run.seed"] = 300, 77
+    _, records = run_monte_carlo(protocol_config_from(cfg))
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["shot", "x_u", "p_v", "x1", "p1", "x2", "p2"])
+    for j, r in enumerate(records):
+        writer.writerow([j] + ["%.12g" % v for v in
+                               (r.x_u, r.p_v, r.x1, r.p1, r.x2, r.p2)])
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")

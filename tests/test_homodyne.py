@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from telecloning import (
     DegenerateVarianceError,
@@ -11,11 +12,13 @@ from telecloning import (
     is_physical,
     marginal,
     sample_homodyne,
+    shot_normals,
     shot_stream,
     squeezed_vacuum,
     tensor,
     vacuum,
 )
+from telecloning.homodyne import _philox_words, _to_normal
 from helpers import random_state
 
 X0 = QuadratureSelector(0, "x")
@@ -156,3 +159,53 @@ def test_law_of_total_expectation():
     prior = st.mean[keep_idx]
     spread = conditioned.std(axis=0, ddof=1)
     assert np.all(np.abs(conditioned.mean(axis=0) - prior) < 5 * spread / np.sqrt(n) + 1e-12)
+
+
+# seeds beyond int64 and shot indices on either side of 2**32 exercise the
+# carries between the 32-bit halves of the Philox multiply and key bumps
+PHILOX_SEEDS = (0, -17, 2**63 + 5, 2**64 - 1)
+PHILOX_SHOTS = (0, 1, 2**32 - 1, 2**32, 2**63)
+
+
+@pytest.mark.parametrize("draws", (4, 8), ids=("one-block", "two-blocks"))
+def test_shot_normals_match_numpy_philox(draws):
+    for seed in PHILOX_SEEDS:
+        for j in PHILOX_SHOTS:
+            key = np.array([seed % 2**64, j], dtype=np.uint64)
+            ref = np.random.Philox(key=key).random_raw(draws)
+            words = _philox_words(seed, np.array([j], dtype=np.uint64), draws)
+            assert np.array_equal(words[:, 0], ref), (seed, j)
+            expect = ndtri(((ref >> 12) + 0.5) * 2.0**-52)
+            assert np.array_equal(shot_normals(seed, j, 1, draws)[0], expect)
+
+
+def test_shot_normals_batch_equals_single_shots():
+    batch = shot_normals(-17, 2**32 - 3, 6, 6)
+    assert batch.shape == (6, 6)
+    for i in range(6):
+        assert np.array_equal(batch[i], shot_normals(-17, 2**32 - 3 + i, 1, 6)[0])
+
+
+def test_extreme_words_map_to_finite_normals():
+    words = np.array([0, 2**64 - 1], dtype=np.uint64)
+    z = _to_normal(words)
+    assert np.all(np.isfinite(z))
+    assert z[0] == -z[1]
+    assert _to_normal(0) == z[0] and _to_normal(2**64 - 1) == z[1]
+
+
+def test_shot_normals_rejects_out_of_range_shots():
+    with pytest.raises(ValueError):
+        shot_normals(1, -1, 2, 2)
+    with pytest.raises(ValueError):
+        shot_normals(1, 2**64 - 1, 2, 2)
+
+
+def test_shot_stream_draws_equal_shot_normals():
+    for seed, j in ((3, 0), (-17, 2**32), (2**64 - 1, 12345)):
+        stream = shot_stream(seed, j)
+        drawn = [stream.normal() for _ in range(6)]
+        assert drawn == shot_normals(seed, j, 1, 6)[0].tolist()
+    # location and scale are applied as loc + scale * z
+    z = shot_normals(8, 2, 1, 1)[0, 0]
+    assert shot_stream(8, 2).normal(1.5, 0.25) == 1.5 + 0.25 * z

@@ -6,6 +6,8 @@ import pytest
 from telecloning import (
     ProtocolConfig,
     QuadratureSelector,
+    ShotRecord,
+    ShotRecords,
     SqueezerSpec,
     alice_trace_levels,
     circuit_states,
@@ -19,7 +21,13 @@ from telecloning import (
     sample_homodyne,
     shot_stream,
 )
-from telecloning.protocol import _measurement_plan, _simulate_shot
+from telecloning.protocol import (
+    _CHUNK_SHOTS,
+    _measurement_plan,
+    _psd_sqrt,
+    _simulate_shot,
+    _simulate_shots,
+)
 from helpers import random_config
 
 _, _, OPT_DB = optimal_squeezing()
@@ -246,3 +254,48 @@ def test_alice_variance_levels():
     assert v_opt == pytest.approx(0.5, abs=1e-12)  # 3.01 dB above vacuum
     v_zero, _ = alice_trace_levels(ProtocolConfig(ZERO, ZERO))
     assert v_zero == pytest.approx(0.25, abs=1e-12)  # two vacua on a splitter
+
+
+@pytest.mark.parametrize("sampled", (False, True))
+def test_records_are_prefixes_across_chunks(sampled):
+    # shot j depends only on (seed, j): a longer run extends a shorter one,
+    # also where the longer run crosses a chunk boundary the shorter does not
+    longer = optimal_config(shots=2 * _CHUNK_SHOTS + 5, seed=31)
+    _, records = run_monte_carlo(longer, sampled=sampled)
+    for n in (1, _CHUNK_SHOTS - 1, _CHUNK_SHOTS + 2):
+        _, prefix = run_monte_carlo(dataclasses.replace(longer, shots=n),
+                                    sampled=sampled)
+        assert records[:n] == prefix
+
+
+def test_sampled_mode_keeps_records_and_draws_per_shot():
+    config = ProtocolConfig(SqueezerSpec(5, 8), SqueezerSpec(5, 8),
+                            input_alpha=1 + 2j, eta_homodyne=0.95,
+                            shots=40, seed=17)
+    _, plain = run_monte_carlo(config)
+    _, sampled = run_monte_carlo(config, sampled=True)
+    assert plain == sampled
+    plan = _measurement_plan(config)
+    cond_sqrt = _psd_sqrt(plan.cond_cov)
+    records, draws = _simulate_shots(plan, config.seed, 0, 40, cond_sqrt)
+    for j in (0, 17, 39):
+        record, drawn = _simulate_shot(plan, config.seed, j, cond_sqrt)
+        assert record == ShotRecord(*records[:, j])
+        assert np.array_equal(drawn, draws[:, j])
+
+
+def test_shot_records_sequence():
+    _, records = run_monte_carlo(optimal_config(shots=5, seed=2))
+    assert isinstance(records, ShotRecords)
+    assert len(records) == 5
+    as_list = list(records)
+    assert all(isinstance(r, ShotRecord) for r in as_list)
+    assert records[-1] == as_list[4] and records[1] == as_list[1]
+    assert (records == as_list) is True and (as_list == records) is True
+    assert records != as_list[:4]
+    assert records.columns.shape == (6, 5)
+    assert records.columns[0, 3] == as_list[3].x_u
+    with pytest.raises(ValueError):
+        records.columns[0, 0] = 1.0
+    with pytest.raises(IndexError):
+        records[5]
