@@ -46,6 +46,7 @@ from .resource import (
     clone_pair_criterion_lhs,
     optimal_squeezing,
     resource_circuit_matrix,
+    squeezer_variances,
 )
 from .protocol import (
     CloneMoments,
@@ -56,6 +57,7 @@ from .protocol import (
     alice_trace_levels,
     circuit_states,
     clone_output_state,
+    clone_variances,
     run_analytic,
     run_circuit_analytic,
     run_monte_carlo,
@@ -78,5 +80,6 @@ from .opo import (
     OPOParams,
     fidelity_vs_pump,
     fit_params,
+    pump_spectra,
     squeezing_spectra,
 )

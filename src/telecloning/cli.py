@@ -8,9 +8,9 @@ a short human-readable summary goes to stderr. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -25,25 +25,27 @@ from .metrics import (
     fidelity_general,
     fidelity_report,
 )
-from .opo import squeezing_spectra
+from .opo import OPOParams, pump_spectra
 from .protocol import (
     CloneMoments,
     ProtocolConfig,
+    clone_variances,
     run_analytic,
     run_circuit_analytic,
     run_monte_carlo,
 )
 from .resource import (
-    SqueezerSpec,
     bipartite_criterion_lhs,
     build_telecloning_resource,
     clone_pair_criterion_lhs,
     optimal_squeezing,
+    squeezer_variances,
 )
 
 PATH_AGREEMENT_TOL = 1e-9
 _FLOAT_FMT = "%.12g"
 _CSV_ROW = "%d" + ("," + _FLOAT_FMT) * 6 + "\n"  # shot index and ShotRecord
+_SWEEP_ROW = ",".join([_FLOAT_FMT] * 6) + "\n"
 _CSV_BLOCK_ROWS = 1 << 13
 
 
@@ -151,31 +153,60 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _sweep_block(config: ProtocolConfig, params: OPOParams | None,
+                 values: np.ndarray) -> np.ndarray:
+    """Columns 1-5 of the sweep CSV for one block of grid values.
+
+    ``params`` is None for a squeezing sweep (pure squeezers at each value)
+    and the OPO model for a pump sweep. Both squeezers take the same spec.
+    """
+    if params is None:
+        levels = (values, values)
+    else:
+        levels = pump_spectra(params, values)
+    v_sq, v_anti = squeezer_variances(*levels)
+    var_x, var_p, _, _ = clone_variances(config, v_anti, v_sq, v_sq, v_anti)
+    alpha = config.input_alpha
+    mean = np.broadcast_to((config.gains[0] * alpha.real,
+                            config.gains[1] * alpha.imag), (values.size, 2))
+    cov = np.zeros((values.size, 2, 2))
+    cov[:, 0, 0], cov[:, 1, 1] = var_x, var_p
+    fidelity = fidelity_general(mean, cov, alpha)
+    return np.stack((*levels, var_x, var_p, fidelity))
+
+
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     config = protocol_config_from(cfg)
+    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+        raise ConfigError("--from and --to must be finite")
     if args.stop <= args.start:
         raise ConfigError("--from must be smaller than --to")
     if args.steps < 2:
         raise ConfigError("--steps must be at least 2")
+    params = opo_params_from(cfg) if args.param == "pump_mw" else None
     grid = np.linspace(args.start, args.stop, args.steps)
 
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["param_value", "squeezing_db", "antisqueezing_db",
-                     "var_x_clone", "var_p_clone", "fidelity"])
-    for value in grid:
-        if args.param == "squeezing_db":
-            spec = SqueezerSpec.pure(float(value))
-        else:
-            spec = squeezing_spectra(opo_params_from(cfg), float(value))
-        point = dataclasses.replace(config, spec_i=spec, spec_ii=spec)
-        clone = run_analytic(point).clone1
-        fid = fidelity_general((clone.mean_x, clone.mean_p),
-                               np.diag([clone.var_x, clone.var_p]),
-                               point.input_alpha)
-        writer.writerow([_FLOAT_FMT % v for v in
-                         (value, spec.squeezing_db, spec.antisqueezing_db,
-                          clone.var_x, clone.var_p, fid)])
+    # check and compute every point before the first byte goes out, so a
+    # bad grid leaves stdout empty; the blocks bound the temporaries at any
+    # --steps, and an overflow or NaN is a numeric error
+    columns = np.empty((5, grid.size))
+    with np.errstate(over="raise", invalid="raise"):
+        for first in range(0, grid.size, _CSV_BLOCK_ROWS):
+            block = slice(first, first + _CSV_BLOCK_ROWS)
+            try:
+                columns[:, block] = _sweep_block(config, params, grid[block])
+            except ValueError as exc:
+                if exc.__class__ is ValueError:
+                    raise ConfigError(f"--param {args.param}: {exc}") from exc
+                raise  # physicality and linear-algebra errors keep their type
+
+    sys.stdout.write("param_value,squeezing_db,antisqueezing_db,"
+                     "var_x_clone,var_p_clone,fidelity\n")
+    for first in range(0, grid.size, _CSV_BLOCK_ROWS):
+        block = slice(first, first + _CSV_BLOCK_ROWS)
+        rows = zip(grid[block].tolist(), *columns[:, block].tolist())
+        sys.stdout.write("".join(_SWEEP_ROW % row for row in rows))
     return 0
 
 

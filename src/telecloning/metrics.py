@@ -47,38 +47,49 @@ def variance_to_db(v: float) -> float:
     return 10.0 * np.log10(v / VACUUM_VARIANCE)
 
 
-def db_to_variance(db: float) -> float:
+def db_to_variance(db):
+    """Variance of a noise level in dB, elementwise over scalars or arrays."""
     return VACUUM_VARIANCE * 10.0 ** (db / 10.0)
 
 
-def fidelity_unit_gain(var_x: float, var_p: float) -> float:
+def fidelity_unit_gain(var_x, var_p):
     """Overlap of a unit-gain clone with the coherent input.
 
     Valid when the clone mean equals the input amplitude; then the overlap
     depends only on the clone variances: F = 2 / sqrt((1+4vx)(1+4vp)).
+    Elementwise over scalars or arrays.
     """
-    if var_x <= 0.0 or var_p <= 0.0:
+    if np.count_nonzero((var_x <= 0.0) | (var_p <= 0.0)):
         raise ValueError("variances must be positive")
     return 2.0 / np.sqrt((1.0 + 4.0 * var_x) * (1.0 + 4.0 * var_p))
 
 
-def fidelity_general(mean, cov, alpha: complex) -> float:
+def fidelity_general(mean, cov, alpha: complex):
     """Overlap of a single-mode Gaussian state with the coherent state alpha.
 
     F = exp(-(1/2) d^T (V + I/4)^{-1} d) / (2 sqrt(det(V + I/4))) with
     d = mean - (Re alpha, Im alpha). Reduces to the unit-gain formula at
     d = 0 and to exp(-|alpha - beta|^2) for a displaced vacuum.
+
+    A ``cov`` of shape (..., 2, 2) with ``mean`` of shape (..., 2) is a
+    batch of states, checked and evaluated in one call; the result is then
+    an array of the batch shape, each entry the same bits as a call on
+    that state alone. Otherwise the result is a float.
     """
-    mean = np.asarray(mean, dtype=float).reshape(2)
-    cov = np.asarray(cov, dtype=float).reshape(2, 2)
-    if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12):
+    cov = np.asarray(cov, dtype=float)
+    batch = cov.shape[:-2]
+    cov = cov.reshape(batch + (2, 2))
+    mean = np.asarray(mean, dtype=float).reshape(batch + (2,))
+    if not np.allclose(cov, cov.swapaxes(-1, -2), rtol=0.0, atol=1e-12):
         raise ValueError("clone covariance is not symmetric")
     if np.linalg.eigvalsh(cov).min() <= 0.0:
         raise ValueError("clone covariance is not positive definite")
     sigma = cov + VACUUM_VARIANCE * np.eye(2)
     delta = mean - np.array([alpha.real, alpha.imag])
-    quad = float(delta @ np.linalg.solve(sigma, delta))
-    return float(np.exp(-0.5 * quad) / (2.0 * np.sqrt(np.linalg.det(sigma))))
+    # (1, 2) @ (2, 1) per state: the product a lone d @ solve(sigma, d) makes
+    quad = (delta[..., None, :] @ np.linalg.solve(sigma, delta[..., None]))[..., 0, 0]
+    fidelity = np.exp(-0.5 * quad) / (2.0 * np.sqrt(np.linalg.det(sigma)))
+    return fidelity if batch else float(fidelity)
 
 
 def fidelity_report(moments: "CloneMoments", alpha: complex) -> FidelityReport:

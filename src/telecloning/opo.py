@@ -11,19 +11,25 @@ The product V_minus * V_plus is exactly 1 at eta_det = 1 and above 1
 otherwise, so the emitted squeezer spec is always physical. This is a
 phenomenological calibration model: pump sweeps built on it reproduce
 curve shapes and bounds, not any particular measured data points.
+
+The model is written once, as an elementwise expression:
+``squeezing_spectra`` evaluates it at one pump, ``pump_spectra`` over an
+array of pumps, and ``fidelity_vs_pump`` and ``fit_params`` run each of
+their grids as one array call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 from scipy import optimize
 
 from .metrics import fidelity_unit_gain
-from .protocol import ProtocolConfig, run_analytic
-from .resource import SqueezerSpec
+from .protocol import ProtocolConfig, clone_variances
+from .resource import SqueezerSpec, squeezer_variances
 
 
 @dataclass(frozen=True)
@@ -35,33 +41,56 @@ class OPOParams:
     omega: float = 0.0
 
     def __post_init__(self):
-        if self.p_threshold_mw <= 0.0:
-            raise ValueError("threshold pump power must be positive")
+        if not (math.isfinite(self.p_threshold_mw) and self.p_threshold_mw > 0.0):
+            raise ValueError("threshold pump power must be positive and finite")
         if not 0.0 <= self.eta_det <= 1.0:
             raise ValueError("detection efficiency must lie in [0, 1]")
-        if self.omega < 0.0:
-            raise ValueError("analysis frequency must be >= 0")
+        if not (math.isfinite(self.omega) and self.omega >= 0.0):
+            raise ValueError("analysis frequency must be finite and >= 0")
 
 
-def squeezing_spectra(params: OPOParams, p_pump_mw: float) -> SqueezerSpec:
-    """Squeezing and antisqueezing of one squeezer at the given pump power."""
-    if not 0.0 <= p_pump_mw < params.p_threshold_mw:
-        raise ValueError(
-            f"pump power must lie in [0, threshold); got {p_pump_mw} mW with "
-            f"threshold {params.p_threshold_mw} mW"
-        )
-    x = np.sqrt(p_pump_mw / params.p_threshold_mw)
-    w2 = params.omega**2
+def _spectra(x, eta_det, omega2):
+    """(squeezing_db, antisqueezing_db) at pump amplitude x, elementwise.
+
+    Squares are written as products: a scalar ``**2`` calls libm ``pow``,
+    an array ``**2`` multiplies, and the two can differ in the last bit.
+    """
     # cancellation-free forms: near threshold 1 - 4x/((1+x)^2) loses all
     # precision, but (1+x)^2 - 4 eta x = (1-x)^2 + 4x(1-eta) is a sum of
     # non-negative terms, so the emitted dB pair keeps v_sq*v_anti >= 1/16
     # to machine precision
-    low = (1.0 - x) ** 2 + w2
-    high = (1.0 + x) ** 2 + w2
-    v_minus = (low + 4.0 * x * (1.0 - params.eta_det)) / high
-    v_plus = (low + 4.0 * x * params.eta_det) / low
-    return SqueezerSpec(squeezing_db=float(-10.0 * np.log10(v_minus)) + 0.0,
-                        antisqueezing_db=float(10.0 * np.log10(v_plus)))
+    down, up = 1.0 - x, 1.0 + x
+    low = down * down + omega2
+    high = up * up + omega2
+    v_minus = (low + 4.0 * x * (1.0 - eta_det)) / high
+    v_plus = (low + 4.0 * x * eta_det) / low
+    # + 0.0 turns the -0.0 of a zero pump into 0.0
+    return -10.0 * np.log10(v_minus) + 0.0, 10.0 * np.log10(v_plus)
+
+
+def pump_spectra(params: OPOParams, p_pump_mw):
+    """Squeezing and antisqueezing in dB at a pump power or array of them.
+
+    Returns ``(squeezing_db, antisqueezing_db)`` of the pump's shape.
+    Every pump must lie in [0, threshold); ``squeezer_variances`` applies
+    the ``SqueezerSpec`` checks to the levels.
+    """
+    pump = np.asarray(p_pump_mw, dtype=float)
+    outside = ~((0.0 <= pump) & (pump < params.p_threshold_mw))
+    if outside.any():
+        raise ValueError(
+            f"pump power must lie in [0, threshold); got "
+            f"{pump.flat[np.argmax(outside)]} mW with threshold "
+            f"{params.p_threshold_mw} mW"
+        )
+    return _spectra(np.sqrt(pump / params.p_threshold_mw), params.eta_det,
+                    params.omega**2)
+
+
+def squeezing_spectra(params: OPOParams, p_pump_mw: float) -> SqueezerSpec:
+    """Squeezing and antisqueezing of one squeezer at the given pump power."""
+    squeezing_db, antisqueezing_db = pump_spectra(params, p_pump_mw)
+    return SqueezerSpec(float(squeezing_db), float(antisqueezing_db))
 
 
 def fidelity_vs_pump(params: OPOParams, pump_grid_mw: Sequence[float]) -> np.ndarray:
@@ -70,13 +99,12 @@ def fidelity_vs_pump(params: OPOParams, pump_grid_mw: Sequence[float]) -> np.nda
     Both squeezers are assumed identical. Returns an array of rows
     (p_pump_mw, fidelity).
     """
-    rows = []
-    for p in pump_grid_mw:
-        spec = squeezing_spectra(params, p)
-        moments = run_analytic(ProtocolConfig(spec, spec))
-        rows.append((float(p), fidelity_unit_gain(moments.clone1.var_x,
-                                                  moments.clone1.var_p)))
-    return np.array(rows)
+    pump = np.asarray(pump_grid_mw, dtype=float).reshape(-1)
+    v_sq, v_anti = squeezer_variances(*pump_spectra(params, pump))
+    vacuum = SqueezerSpec(0.0, 0.0)  # clone_variances reads no spec
+    var_x, var_p, _, _ = clone_variances(ProtocolConfig(vacuum, vacuum),
+                                         v_anti, v_sq, v_sq, v_anti)
+    return np.column_stack([pump, fidelity_unit_gain(var_x, var_p)])
 
 
 @dataclass(frozen=True)
@@ -93,34 +121,39 @@ def fit_params(data: Sequence[tuple[float, float, float]],
 
     ``data`` rows are (p_pump_mw, squeezing_db, antisqueezing_db). A
     coarse grid search seeds coordinate descent on the two parameters at
-    the fixed analysis frequency.
+    the fixed analysis frequency. Each objective is one array expression
+    over the data points; the grid search is one over (p_threshold,
+    eta_det, point).
     """
-    data = [(float(p), float(s), float(a)) for p, s, a in data]
-    if len(data) < 3:
+    rows = [(float(p), float(s), float(a)) for p, s, a in data]
+    if len(rows) < 3:
         raise ValueError("need at least three data points")
-    pumps = [row[0] for row in data]
-    if len(set(pumps)) != len(pumps):
+    for k, (p, s_db, a_db) in enumerate(rows):
+        if not (math.isfinite(p) and math.isfinite(s_db) and math.isfinite(a_db)):
+            raise ValueError(f"data row {k} {(p, s_db, a_db)} is not finite")
+        if p < 0.0:
+            raise ValueError(f"data row {k} has a negative pump power {p} mW")
+    pumps, s_meas, a_meas = np.array(rows).T
+    if len(np.unique(pumps)) != len(pumps):
         raise ValueError("pump values must be distinct")
-    p_max = max(pumps)
+    p_max = pumps.max()
     if p_max <= 0.0:
         raise ValueError("need at least one positive pump power")
+    params = OPOParams(p_max, 1.0, omega)  # rejects a bad omega up front
+    omega2 = params.omega**2
 
-    def objective(p_th: float, eta: float) -> float:
-        params = OPOParams(p_th, eta, omega)
-        total = 0.0
-        for p, s_db, a_db in data:
-            if p >= p_th:
-                return np.inf
-            spec = squeezing_spectra(params, p)
-            total += (spec.squeezing_db - s_db) ** 2
-            total += (spec.antisqueezing_db - a_db) ** 2
-        return total
+    def objective(p_th, eta):
+        """Sum of squared dB residuals, elementwise over p_th and eta."""
+        x = np.sqrt(pumps / np.asarray(p_th)[..., None])
+        s_db, a_db = _spectra(x, np.asarray(eta)[..., None], omega2)
+        return ((s_db - s_meas) ** 2 + (a_db - a_meas) ** 2).sum(axis=-1)
 
     p_grid = np.geomspace(p_max * 1.02, p_max * 50.0, 60)
     eta_grid = np.linspace(0.05, 1.0, 40)
-    best = min(((objective(p, e), p, e) for p in p_grid for e in eta_grid),
-               key=lambda row: row[0])
-    _, p_th, eta = best
+    # argmin keeps the first of equal scores in p-major order
+    scores = objective(p_grid[:, None], eta_grid[None, :])
+    best_p, best_eta = np.unravel_index(np.argmin(scores), scores.shape)
+    p_th, eta = float(p_grid[best_p]), float(eta_grid[best_eta])
 
     for _ in range(6):
         res = optimize.minimize_scalar(lambda p: objective(p, eta),
@@ -133,6 +166,6 @@ def fit_params(data: Sequence[tuple[float, float, float]],
                                        options={"xatol": 1e-12})
         eta = float(res.x)
 
-    rss = objective(p_th, eta)
-    return FitResult(OPOParams(p_th, eta, omega), float(rss),
-                     float(np.sqrt(rss / (2 * len(data)))), len(data))
+    rss = float(objective(p_th, eta))
+    return FitResult(replace(params, p_threshold_mw=p_th, eta_det=eta), rss,
+                     float(np.sqrt(rss / (2 * len(rows)))), len(rows))

@@ -11,6 +11,8 @@ The same physics is evaluated by three routes that must agree:
     Expands each output quadrature over the independent input modes
     (coherent input, the two squeezer outputs, the internal vacuum, and
     one loss ancilla per imperfection) and sums coefficient^2 * variance.
+    ``clone_variances`` is that sum, elementwise over arrays of squeezer
+    variances.
 
 ``run_circuit_analytic``
     Propagates the full covariance matrix through the network, performs
@@ -179,17 +181,19 @@ class ShotRecords(Sequence):
         return f"ShotRecords({len(self)} shots)"
 
 
-def run_analytic(config: ProtocolConfig) -> CloneMoments:
-    """Clone moments from the direct mode expansion."""
+def clone_variances(config: ProtocolConfig, v_x_i, v_p_i, v_x_ii, v_p_ii):
+    """Clone variances ``(var_x1, var_p1, var_x2, var_p2)``.
+
+    The direct mode expansion of ``run_analytic``, with the four squeezer
+    variances (x and p of mode i, then of mode ii) given as scalars or as
+    arrays of one shape; every other parameter comes from ``config``,
+    whose own squeezer specs are not read. Only +, * and / act on the
+    variances, so an entry has the same bits alone or inside an array.
+    """
     sqrt2 = math.sqrt(2.0)
     eta_a, eta_b, eta_c = config.eta_resource
     t = config.coupler_t
     eta_hd = config.eta_homodyne
-    v_x_i = config.spec_i.antisqueezed_variance
-    v_p_i = config.spec_i.squeezed_variance
-    v_x_ii = config.spec_ii.squeezed_variance
-    v_p_ii = config.spec_ii.antisqueezed_variance
-    alpha = config.input_alpha
 
     def one_clone(g_x, g_p, eta_r, sign):
         w = math.sqrt(t) * math.sqrt(eta_r)  # weight of the delivered receiver mode
@@ -209,12 +213,25 @@ def run_analytic(config: ProtocolConfig) -> CloneMoments:
                  + c_x_ii**2 * v_x_ii + c_iii**2 * VACUUM_VARIANCE + ancilla(g_x))
         var_p = (g_p * g_p * VACUUM_VARIANCE + c_p_i**2 * v_p_i
                  + c_p_ii**2 * v_p_ii + c_iii**2 * VACUUM_VARIANCE + ancilla(g_p))
-        return QuadratureMoments(g_x * alpha.real, g_p * alpha.imag,
-                                 float(var_x), float(var_p))
+        return var_x, var_p
 
     g_x1, g_p1, g_x2, g_p2 = config.gains
-    return CloneMoments(one_clone(g_x1, g_p1, eta_b, +1.0),
-                        one_clone(g_x2, g_p2, eta_c, -1.0))
+    return (*one_clone(g_x1, g_p1, eta_b, +1.0), *one_clone(g_x2, g_p2, eta_c, -1.0))
+
+
+def run_analytic(config: ProtocolConfig) -> CloneMoments:
+    """Clone moments from the direct mode expansion."""
+    var_x1, var_p1, var_x2, var_p2 = clone_variances(
+        config, config.spec_i.antisqueezed_variance, config.spec_i.squeezed_variance,
+        config.spec_ii.squeezed_variance, config.spec_ii.antisqueezed_variance)
+    alpha = config.input_alpha
+    g_x1, g_p1, g_x2, g_p2 = config.gains
+    return CloneMoments(
+        QuadratureMoments(g_x1 * alpha.real, g_p1 * alpha.imag,
+                          float(var_x1), float(var_p1)),
+        QuadratureMoments(g_x2 * alpha.real, g_p2 * alpha.imag,
+                          float(var_x2), float(var_p2)),
+    )
 
 
 def circuit_states(config: ProtocolConfig) -> dict[str, GaussianState]:

@@ -50,15 +50,7 @@ class SqueezerSpec:
     antisqueezing_db: float
 
     def __post_init__(self):
-        if self.squeezing_db < 0.0 or self.antisqueezing_db < 0.0:
-            raise ValueError("dB noise levels are magnitudes and must be >= 0")
-        v_sq = db_to_variance(-self.squeezing_db)
-        v_anti = db_to_variance(self.antisqueezing_db)
-        if v_sq * v_anti < 0.25**2 - 1e-12:
-            raise PhysicalityError(
-                f"squeezing {self.squeezing_db} dB with antisqueezing "
-                f"{self.antisqueezing_db} dB violates the uncertainty bound"
-            )
+        squeezer_variances(self.squeezing_db, self.antisqueezing_db)
 
     @property
     def squeezed_variance(self) -> float:
@@ -71,6 +63,35 @@ class SqueezerSpec:
     @classmethod
     def pure(cls, squeezing_db: float) -> "SqueezerSpec":
         return cls(squeezing_db, squeezing_db)
+
+
+def squeezer_variances(squeezing_db, antisqueezing_db):
+    """Squeezed and antisqueezed variances of dB noise levels, elementwise.
+
+    Holds the checks of every ``SqueezerSpec``: a negative magnitude
+    raises ``ValueError``, a pair with v_sq * v_anti below 1/16 (less
+    1e-12) raises ``PhysicalityError``, and a variance that overflows
+    raises ``FloatingPointError``; each message names the first offending
+    value. Returns ``(v_sq, v_anti)``.
+    """
+    sq = np.asarray(squeezing_db, dtype=float)
+    anti = np.asarray(antisqueezing_db, dtype=float)
+    negative = (sq < 0.0) | (anti < 0.0)
+    if negative.any():
+        k = np.argmax(negative)
+        raise ValueError("dB noise levels are magnitudes and must be >= 0; got "
+                         f"{sq.flat[k]} and {anti.flat[k]} dB")
+    with np.errstate(over="raise"):
+        v_sq = db_to_variance(-sq)
+        v_anti = db_to_variance(anti)
+    unphysical = v_sq * v_anti < 0.25**2 - 1e-12
+    if unphysical.any():
+        k = np.argmax(unphysical)
+        raise PhysicalityError(
+            f"squeezing {sq.flat[k]} dB with antisqueezing "
+            f"{anti.flat[k]} dB violates the uncertainty bound"
+        )
+    return v_sq, v_anti
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
-"""Shared builders for randomized property tests."""
+"""Shared builders for randomized property tests, and per-point references."""
+
+import math
 
 import numpy as np
 
@@ -55,3 +57,69 @@ def random_config(rng) -> ProtocolConfig:
         shots=100,
         seed=int(rng.integers(2**32)),
     )
+
+
+# Per-point references: the pump model, the analytic clone moments and the
+# fidelity as first written, one scalar evaluation per point. The batched
+# code paths are checked against these.
+
+def reference_spectra(params, p_pump_mw):
+    """(squeezing_db, antisqueezing_db) of the pump model: scalar math, ``**2``."""
+    x = np.sqrt(p_pump_mw / params.p_threshold_mw)
+    w2 = params.omega**2
+    low = (1.0 - x) ** 2 + w2
+    high = (1.0 + x) ** 2 + w2
+    v_minus = (low + 4.0 * x * (1.0 - params.eta_det)) / high
+    v_plus = (low + 4.0 * x * params.eta_det) / low
+    return float(-10.0 * np.log10(v_minus)) + 0.0, float(10.0 * np.log10(v_plus))
+
+
+def reference_variance(db: float) -> float:
+    """Quadrature variance of a noise level in dB, on a Python float."""
+    return 0.25 * 10.0 ** (db / 10.0)
+
+
+def reference_clones(config, spec_i, spec_ii):
+    """Both clones' (mean_x, mean_p, var_x, var_p) by the direct mode
+    expansion; ``spec_i`` and ``spec_ii`` are (squeezing_db,
+    antisqueezing_db) pairs and replace the config's own squeezers."""
+    sqrt2 = math.sqrt(2.0)
+    eta_a, eta_b, eta_c = config.eta_resource
+    t = config.coupler_t
+    eta_hd = config.eta_homodyne
+    v_x_i = reference_variance(spec_i[1])
+    v_p_i = reference_variance(-spec_i[0])
+    v_x_ii = reference_variance(-spec_ii[0])
+    v_p_ii = reference_variance(spec_ii[1])
+    alpha = config.input_alpha
+
+    def one_clone(g_x, g_p, eta_r, sign):
+        w = math.sqrt(t) * math.sqrt(eta_r)
+
+        def ancilla(g):
+            return (t * (1.0 - eta_r) + (1.0 - t) + g * g * (1.0 - eta_a)
+                    + 2.0 * g * g * (1.0 - eta_hd) / eta_hd) * 0.25
+
+        c_x_i = w / 2.0 - g_x * math.sqrt(eta_a) / sqrt2
+        c_x_ii = -w / 2.0 - g_x * math.sqrt(eta_a) / sqrt2
+        c_p_i = w / 2.0 + g_p * math.sqrt(eta_a) / sqrt2
+        c_p_ii = -w / 2.0 + g_p * math.sqrt(eta_a) / sqrt2
+        c_iii = sign * w / sqrt2
+        var_x = (g_x * g_x * 0.25 + c_x_i**2 * v_x_i
+                 + c_x_ii**2 * v_x_ii + c_iii**2 * 0.25 + ancilla(g_x))
+        var_p = (g_p * g_p * 0.25 + c_p_i**2 * v_p_i
+                 + c_p_ii**2 * v_p_ii + c_iii**2 * 0.25 + ancilla(g_p))
+        return g_x * alpha.real, g_p * alpha.imag, float(var_x), float(var_p)
+
+    g_x1, g_p1, g_x2, g_p2 = config.gains
+    return one_clone(g_x1, g_p1, eta_b, +1.0), one_clone(g_x2, g_p2, eta_c, -1.0)
+
+
+def reference_fidelity(mean, cov, alpha: complex) -> float:
+    """Overlap of one single-mode Gaussian state with the coherent state alpha."""
+    mean = np.asarray(mean, dtype=float).reshape(2)
+    cov = np.asarray(cov, dtype=float).reshape(2, 2)
+    sigma = cov + 0.25 * np.eye(2)
+    delta = mean - np.array([alpha.real, alpha.imag])
+    quad = float(delta @ np.linalg.solve(sigma, delta))
+    return float(np.exp(-0.5 * quad) / (2.0 * np.sqrt(np.linalg.det(sigma))))

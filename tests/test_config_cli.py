@@ -1,14 +1,19 @@
+import contextlib
 import csv
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from helpers import random_config, reference_clones, reference_fidelity, reference_spectra
 from telecloning.cli import main
 from telecloning.config import (
     ConfigError,
     load_config,
+    opo_params_from,
     parse_config,
     protocol_config_from,
     serialize_config,
@@ -259,3 +264,129 @@ def test_sample_csv_matches_csv_writer_rendering(capsys, tmp_path):
         writer.writerow([j] + ["%.12g" % v for v in
                                (r.x_u, r.p_v, r.x1, r.p1, r.x2, r.p2)])
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("param, start, stop", (
+    ("squeezing_db", "-1", "3"),     # negative squeezing magnitude
+    ("pump_mw", "0", "150"),         # pump grid reaches the 100 mW threshold
+    ("pump_mw", "-1", "50"),         # negative pump
+    ("squeezing_db", "0", "nan"),
+    ("squeezing_db", "0", "inf"),
+    ("pump_mw", "-inf", "50"),
+))
+def test_sweep_bad_grid_exits_1_without_output(capsys, param, start, stop):
+    code, out, err = run_cli(capsys, "sweep", str(CONFIGS / "optimal.cfg"),
+                             "--param", param, f"--from={start}", f"--to={stop}",
+                             "--steps", "5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("config error:")
+
+
+def test_sweep_overflow_exits_2_without_output(capsys):
+    code, out, err = run_cli(capsys, "sweep", str(CONFIGS / "optimal.cfg"),
+                             "--param", "squeezing_db", "--from", "0",
+                             "--to", "1e308", "--steps", "5")
+    assert code == 2
+    assert out == ""
+    assert "numeric error" in err
+
+
+def _reference_sweep_rows(cfg: dict, param: str, grid) -> list[tuple]:
+    """The sweep as first written: one spec and one analytic run per point."""
+    config = protocol_config_from(cfg)
+    rows = []
+    for value in grid:
+        if param == "squeezing_db":
+            spec = (float(value), float(value))
+        else:
+            spec = reference_spectra(opo_params_from(cfg), float(value))
+        mean_x, mean_p, var_x, var_p = reference_clones(config, spec, spec)[0]
+        fid = reference_fidelity((mean_x, mean_p), np.diag([var_x, var_p]),
+                                 config.input_alpha)
+        rows.append((value, *spec, var_x, var_p, fid))
+    return rows
+
+
+def _render(rows) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["param_value", "squeezing_db", "antisqueezing_db",
+                     "var_x_clone", "var_p_clone", "fidelity"])
+    for row in rows:
+        writer.writerow(["%.12g" % v for v in row])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", ("optimal", "classical", "paper"))
+@pytest.mark.parametrize("param, stop, steps", (
+    ("squeezing_db", 12.0, 1201),
+    ("pump_mw", 95.0, 241),
+))
+def test_sweep_matches_per_point_rendering(capsys, name, param, stop, steps):
+    path = CONFIGS / f"{name}.cfg"
+    code, out, _ = run_cli(capsys, "sweep", str(path), "--param", param,
+                           "--from", "0", "--to", repr(stop), "--steps", str(steps))
+    assert code == 0
+    grid = np.linspace(0.0, stop, steps)
+    expected = _render(_reference_sweep_rows(load_config(str(path)), param, grid))
+    # name the first differing row; pytest's diff of the whole CSV takes minutes
+    got, want = out.splitlines(), expected.splitlines()
+    first = next((k for k, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+    assert first is None, (first, got[first], want[first])
+    assert out == expected
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sweep_values_match_per_point_on_random_configs(seed):
+    from telecloning.cli import _sweep_block
+
+    rng = np.random.default_rng(900 + seed)
+    config = random_config(rng)
+    cfg = parse_config(f"[opo]\np_threshold_mw = {rng.uniform(50.0, 300.0)!r}\n"
+                       f"eta_det = {rng.uniform(0.5, 1.0)!r}\n"
+                       f"omega = {rng.uniform(0.0, 1.0)!r}\n")
+    cfg.update({
+        "input.alpha_re": config.input_alpha.real,
+        "input.alpha_im": config.input_alpha.imag,
+        "gains.gx1": config.gains[0], "gains.gp1": config.gains[1],
+        "gains.gx2": config.gains[2], "gains.gp2": config.gains[3],
+        "loss.eta_homodyne": config.eta_homodyne,
+        "loss.eta_resource_a": config.eta_resource[0],
+        "loss.eta_resource_b": config.eta_resource[1],
+        "loss.eta_resource_c": config.eta_resource[2],
+        "loss.coupler_t": config.coupler_t,
+    })
+    assert all(g != 1.0 for g in config.gains) and config.input_alpha != 0
+    params = opo_params_from(cfg)
+    for param, grid in (("squeezing_db", np.linspace(0.0, 15.0, 151)),
+                        ("pump_mw", np.linspace(0.0, 0.98 * params.p_threshold_mw, 151))):
+        columns = _sweep_block(protocol_config_from(cfg),
+                               params if param == "pump_mw" else None, grid)
+        reference = np.array(_reference_sweep_rows(cfg, param, grid)).T
+        np.testing.assert_allclose(columns, reference[1:], rtol=1e-12, atol=0.0)
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+def _sweep_peak_bytes(steps: int) -> int:
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            code = main(["sweep", str(CONFIGS / "paper.cfg"), "--param", "squeezing_db",
+                         "--from", "0", "--to", "12", "--steps", str(steps)])
+        assert code == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_grows_only_by_the_grid():
+    small, large = 20_001, 200_001
+    # the grid and its five computed columns, as float64
+    grid_bytes = 6 * 8 * (large - small)
+    growth = _sweep_peak_bytes(large) - _sweep_peak_bytes(small)
+    assert growth <= grid_bytes + (1 << 20)

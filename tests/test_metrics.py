@@ -172,3 +172,38 @@ def test_db_conversions():
         assert db_to_variance(variance_to_db(v)) == pytest.approx(v, rel=1e-12)
     with pytest.raises(ValueError):
         variance_to_db(0.0)
+
+
+def test_fidelity_general_batch_matches_single_calls_bit_for_bit():
+    rng = np.random.default_rng(41)
+    n = 500
+    mean = rng.uniform(-6.0, 6.0, size=(n, 2))
+    cov = np.zeros((n, 2, 2))
+    cov[:, 0, 0], cov[:, 1, 1] = rng.uniform(0.2, 5.0, size=(2, n))
+    cov[:, 0, 1] = cov[:, 1, 0] = rng.uniform(-0.1, 0.1, size=n)
+    batch = fidelity_general(mean, cov, 2 - 1j)
+    assert batch.shape == (n,)
+    assert batch.tolist() == [fidelity_general(m, c, 2 - 1j) for m, c in zip(mean, cov)]
+    grid = fidelity_general(mean.reshape(50, 10, 2), cov.reshape(50, 10, 2, 2), 2 - 1j)
+    assert grid.shape == (50, 10) and grid.ravel().tolist() == batch.tolist()
+
+
+@pytest.mark.parametrize("entry, message", (
+    (np.array([[0.5, 0.1], [0.0, 0.5]]), "not symmetric"),
+    (np.array([[0.5, 0.0], [0.0, -0.1]]), "not positive definite"),
+    (np.array([[np.nan, 0.0], [0.0, 0.5]]), "not symmetric"),
+))
+def test_fidelity_general_checks_every_batch_entry(entry, message):
+    cov = np.tile(np.diag([0.5, 0.5]), (4, 1, 1))
+    cov[2] = entry
+    with pytest.raises(ValueError, match=message):
+        fidelity_general(np.zeros((4, 2)), cov, 0j)
+
+
+def test_fidelity_unit_gain_elementwise():
+    v_x = np.array([0.25, 0.5, 0.75])
+    v_p = np.array([0.25, 0.5, 0.75])
+    assert fidelity_unit_gain(v_x, v_p).tolist() == [
+        fidelity_unit_gain(a, b) for a, b in zip(v_x, v_p)]
+    with pytest.raises(ValueError):
+        fidelity_unit_gain(v_x, np.array([0.25, 0.0, 0.75]))

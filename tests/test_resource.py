@@ -11,6 +11,7 @@ from telecloning import (
     optimal_squeezing,
     partial_trace,
     resource_circuit_matrix,
+    squeezer_variances,
     symplectic_eigenvalues,
 )
 
@@ -179,3 +180,19 @@ def test_lossy_resource_stays_physical_and_symmetric():
     swap[[2, 3, 4, 5]] = [4, 5, 2, 3]
     assert np.allclose(res.state.cov[np.ix_(swap, swap)], res.state.cov, atol=1e-12)
     assert symplectic_eigenvalues(res.state).min() >= 0.25 - 1e-9
+
+
+def test_squeezer_variances_apply_spec_checks_elementwise():
+    sq = np.array([0.0, 3.5, 7.0])
+    anti = np.array([0.0, 8.5, 7.0])
+    v_sq, v_anti = squeezer_variances(sq, anti)
+    specs = [SqueezerSpec(float(s), float(a)) for s, a in zip(sq, anti)]
+    np.testing.assert_allclose(v_sq, [s.squeezed_variance for s in specs], rtol=1e-15)
+    np.testing.assert_allclose(v_anti, [s.antisqueezed_variance for s in specs],
+                               rtol=1e-15)
+    with pytest.raises(ValueError, match="-1.0"):
+        squeezer_variances(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
+    with pytest.raises(PhysicalityError, match="squeezing 6.0 dB"):
+        squeezer_variances(np.array([1.0, 6.0]), np.array([1.0, 3.0]))
+    with pytest.raises(FloatingPointError):
+        squeezer_variances(np.array([0.0, 1e308]), np.array([0.0, 1e308]))
