@@ -23,10 +23,18 @@ import numpy as np
 VACUUM_VARIANCE = 0.25
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-9
+MIN_VARIANCE_PRODUCT = VACUUM_VARIANCE**2 - 1e-12  # v_x * v_p bound, less rounding slack
 
 
 class PhysicalityError(ValueError):
     """A state or parameter set would violate the uncertainty bound."""
+
+
+def _is_symmetric(matrix: np.ndarray) -> bool:
+    """``np.allclose(m, m^T, rtol=0, atol=SYMMETRY_TOL)`` without its overhead."""
+    t = matrix.swapaxes(-1, -2)
+    with np.errstate(invalid="ignore"):  # inf - inf; equal infinities pass
+        return bool(((matrix == t) | (np.abs(matrix - t) <= SYMMETRY_TOL)).all())
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -48,7 +56,7 @@ class GaussianState:
             raise ValueError(f"mean must have even positive length, got {mean.size}")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"cov shape {cov.shape} does not match mean length {mean.size}")
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=SYMMETRY_TOL):
+        if not _is_symmetric(cov):
             raise ValueError("covariance matrix is not symmetric")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -105,7 +113,7 @@ def squeezed_vacuum(v_x: float, v_p: float) -> GaussianState:
     """
     if v_x <= 0.0 or v_p <= 0.0:
         raise ValueError("variances must be positive")
-    if v_x * v_p < VACUUM_VARIANCE**2 - 1e-12:
+    if v_x * v_p < MIN_VARIANCE_PRODUCT:
         raise PhysicalityError(
             f"variance product {v_x * v_p:.3e} violates the bound {VACUUM_VARIANCE**2:.3e}"
         )
@@ -141,6 +149,16 @@ def phase_shift(phi: float) -> SymplecticMatrix:
     return SymplecticMatrix(np.array([[c, -s], [s, c]]))
 
 
+def _quadrature_indices(state: GaussianState, modes: Sequence[int]) -> np.ndarray:
+    """Interleaved (x, p) indices of the listed modes; checks range and repeats."""
+    modes = list(modes)
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"duplicate modes in {modes}")
+    if any(m < 0 or m >= state.n_modes for m in modes):
+        raise ValueError(f"modes {modes} out of range for {state.n_modes}-mode state")
+    return np.array([2 * m + q for m in modes for q in (0, 1)], dtype=int)
+
+
 def apply_symplectic(state: GaussianState, sym: SymplecticMatrix,
                      modes: Sequence[int]) -> GaussianState:
     """Apply S to the listed modes, identity on the rest.
@@ -148,16 +166,11 @@ def apply_symplectic(state: GaussianState, sym: SymplecticMatrix,
     Cross blocks between acted and spectator modes transform consistently
     through the embedded full-size matrix.
     """
-    modes = list(modes)
-    if len(set(modes)) != len(modes):
-        raise ValueError(f"duplicate modes in {modes}")
-    if any(m < 0 or m >= state.n_modes for m in modes):
-        raise ValueError(f"modes {modes} out of range for {state.n_modes}-mode state")
-    if sym.n_modes != len(modes):
+    idx = _quadrature_indices(state, modes)
+    if 2 * sym.n_modes != idx.size:
         raise ValueError(
-            f"symplectic acts on {sym.n_modes} modes but {len(modes)} were selected"
+            f"symplectic acts on {sym.n_modes} modes but {idx.size // 2} were selected"
         )
-    idx = np.array([2 * m + q for m in modes for q in (0, 1)])
     full = np.eye(state.mean.size)
     full[np.ix_(idx, idx)] = sym.entries
     return GaussianState(full @ state.mean, full @ state.cov @ full.T)
@@ -165,11 +178,9 @@ def apply_symplectic(state: GaussianState, sym: SymplecticMatrix,
 
 def displace(state: GaussianState, mode: int, dx: float, dp: float) -> GaussianState:
     """Shift the mean of one mode by (dx, dp); covariance is untouched."""
-    if mode < 0 or mode >= state.n_modes:
-        raise ValueError(f"mode {mode} out of range")
+    idx = _quadrature_indices(state, [mode])
     mean = state.mean.copy()
-    mean[2 * mode] += dx
-    mean[2 * mode + 1] += dp
+    mean[idx] += (dx, dp)
     return GaussianState(mean, state.cov)
 
 
@@ -179,15 +190,13 @@ def loss_channel(state: GaussianState, mode: int, eta: float) -> GaussianState:
     Mean scales by sqrt(eta), variances go to eta*v + (1 - eta)/4 and
     cross covariances scale by sqrt(eta).
     """
-    if mode < 0 or mode >= state.n_modes:
-        raise ValueError(f"mode {mode} out of range")
+    idx = _quadrature_indices(state, [mode])
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
     scale = np.ones(state.mean.size)
-    scale[2 * mode:2 * mode + 2] = np.sqrt(eta)
+    scale[idx] = np.sqrt(eta)
     cov = state.cov * np.outer(scale, scale)
-    cov[2 * mode, 2 * mode] += (1.0 - eta) * VACUUM_VARIANCE
-    cov[2 * mode + 1, 2 * mode + 1] += (1.0 - eta) * VACUUM_VARIANCE
+    cov[idx, idx] += (1.0 - eta) * VACUUM_VARIANCE
     return GaussianState(state.mean * scale, cov)
 
 
@@ -196,11 +205,7 @@ def partial_trace(state: GaussianState, keep: Sequence[int]) -> GaussianState:
     keep = list(keep)
     if not keep:
         raise ValueError("keep list is empty")
-    if len(set(keep)) != len(keep):
-        raise ValueError(f"duplicate modes in {keep}")
-    if any(m < 0 or m >= state.n_modes for m in keep):
-        raise ValueError(f"modes {keep} out of range for {state.n_modes}-mode state")
-    idx = np.array([2 * m + q for m in keep for q in (0, 1)])
+    idx = _quadrature_indices(state, keep)
     return GaussianState(state.mean[idx], state.cov[np.ix_(idx, idx)])
 
 
@@ -208,13 +213,11 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
     """The n symplectic eigenvalues of the covariance matrix, ascending.
 
     Computed as the absolute values of the eigenvalues of i*Omega*cov,
-    which come in +/- pairs; one representative per pair is returned.
+    which come in +/- pairs; one representative per pair is returned. The
+    covariance is symmetric: ``GaussianState`` checks it.
     """
-    cov = state.cov
-    if not np.allclose(cov, cov.T, rtol=0.0, atol=SYMMETRY_TOL):
-        raise ValueError("covariance matrix is not symmetric")
     omega = symplectic_form(state.n_modes)
-    nu = np.sort(np.abs(np.linalg.eigvals(1j * omega @ cov)))
+    nu = np.sort(np.abs(np.linalg.eigvals(1j * omega @ state.cov)))
     return nu[::2].copy()
 
 

@@ -1,15 +1,16 @@
-"""Homodyne detection of a single quadrature.
+"""Homodyne detection of quadratures.
 
 An ideal homodyne detector reads out exactly one quadrature of one mode.
-The remaining modes update by the Gaussian conditional rule, a rank-1
-Schur complement against the measured scalar variance:
+Reading out quadratures Q (one per measured mode) updates the quadratures
+K of the other modes by the Gaussian conditional rule, a Schur complement
+(Weedbrook et al., RMP 84, 621 (2012)), written once in ``conditional``:
 
-    mean_K' = mean_K + c (value - mean_q) / v_q
-    cov_K'  = cov_K - c c^T / v_q
+    gain    = C_KQ C_QQ^-1
+    mean_K' = mean_K + gain (value_Q - mean_Q)
+    cov_K'  = C_KK - gain C_KQ^T
 
-where c is the cross-covariance column between the kept block K and the
-measured quadrature q. The conjugate quadrature of the measured mode is
-destroyed by the readout, so the measured mode is dropped entirely.
+The conjugate quadrature of a measured mode is destroyed by the readout,
+so measured modes are dropped entirely.
 
 Detector inefficiency is modeled upstream by a loss channel on the mode
 before the ideal measurement.
@@ -26,12 +27,13 @@ only on (seed, j), never on how many shots run or in what order.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .gaussian import GaussianState
+from .gaussian import GaussianState, _quadrature_indices
 
 DEGENERATE_VARIANCE_TOL = 1e-12
 
@@ -61,17 +63,9 @@ class QuadratureSelector:
     def __post_init__(self):
         if self.which not in ("x", "p"):
             raise ValueError(f"which must be 'x' or 'p', got {self.which!r}")
-        if self.mode < 0:
-            raise ValueError(f"mode index must be non-negative, got {self.mode}")
 
     def index(self) -> int:
         return 2 * self.mode + (0 if self.which == "x" else 1)
-
-    def validate(self, state: GaussianState) -> None:
-        if self.mode >= state.n_modes:
-            raise ValueError(
-                f"selector mode {self.mode} out of range for {state.n_modes}-mode state"
-            )
 
 
 @dataclass(frozen=True)
@@ -82,30 +76,41 @@ class HomodyneOutcome:
 
 def marginal(state: GaussianState, sel: QuadratureSelector) -> tuple[float, float]:
     """Mean and variance of the selected quadrature."""
-    sel.validate(state)
+    _quadrature_indices(state, [sel.mode])
     i = sel.index()
     return float(state.mean[i]), float(state.cov[i, i])
+
+
+def conditional(state: GaussianState, sels: Sequence[QuadratureSelector]
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Conditional rule for a joint readout of quadratures of distinct modes:
+    ``(keep, gain, cov)``, the quadrature indices of the unmeasured modes,
+    the gain C_KQ C_QQ^-1 and their outcome-independent covariance."""
+    measured = [sel.mode for sel in sels]
+    _quadrature_indices(state, measured)  # range and duplicate check
+    keep = np.array([j for j in range(state.mean.size) if j // 2 not in measured])
+    if not keep.size:
+        raise ValueError("conditioning drops the measured modes; need at least one more")
+    q = np.array([sel.index() for sel in sels])
+    sigma = state.cov[q[:, None], q]
+    v_min = sigma.diagonal().min()
+    if v_min < DEGENERATE_VARIANCE_TOL:
+        raise DegenerateVarianceError(
+            f"marginal variance {v_min:.3e} is degenerate; cannot condition"
+        )
+    cross = state.cov[keep[:, None], q]
+    gain = np.linalg.solve(sigma.T, cross.T).T
+    cond = state.cov[keep[:, None], keep] - gain @ cross.T
+    # enforce exact symmetry against rounding in the update
+    return keep, gain, 0.5 * (cond + cond.T)
 
 
 def condition_on(state: GaussianState, sel: QuadratureSelector,
                  value: float) -> GaussianState:
     """State of the unmeasured modes given an observed quadrature value."""
-    sel.validate(state)
-    if state.n_modes < 2:
-        raise ValueError("conditioning drops the measured mode; need at least 2 modes")
+    keep, gain, cov = conditional(state, [sel])
     i = sel.index()
-    v_q = state.cov[i, i]
-    if v_q < DEGENERATE_VARIANCE_TOL:
-        raise DegenerateVarianceError(
-            f"marginal variance {v_q:.3e} is degenerate; cannot condition"
-        )
-    keep = np.array([j for j in range(state.mean.size) if j // 2 != sel.mode])
-    c = state.cov[keep, i]
-    mean_k = state.mean[keep] + c * (value - state.mean[i]) / v_q
-    cov_k = state.cov[np.ix_(keep, keep)] - np.outer(c, c) / v_q
-    # enforce exact symmetry against rounding in the rank-1 update
-    cov_k = 0.5 * (cov_k + cov_k.T)
-    return GaussianState(mean_k, cov_k)
+    return GaussianState(state.mean[keep] + gain[:, 0] * (value - state.mean[i]), cov)
 
 
 def sample_homodyne(state: GaussianState, sel: QuadratureSelector,

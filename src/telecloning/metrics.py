@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .gaussian import VACUUM_VARIANCE
+from .gaussian import VACUUM_VARIANCE, _is_symmetric
 
 if TYPE_CHECKING:
     from .protocol import CloneMoments
@@ -80,7 +80,7 @@ def fidelity_general(mean, cov, alpha: complex):
     batch = cov.shape[:-2]
     cov = cov.reshape(batch + (2, 2))
     mean = np.asarray(mean, dtype=float).reshape(batch + (2,))
-    if not np.allclose(cov, cov.swapaxes(-1, -2), rtol=0.0, atol=1e-12):
+    if not _is_symmetric(cov):
         raise ValueError("clone covariance is not symmetric")
     if np.linalg.eigvalsh(cov).min() <= 0.0:
         raise ValueError("clone covariance is not positive definite")

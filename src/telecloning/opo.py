@@ -73,7 +73,8 @@ def pump_spectra(params: OPOParams, p_pump_mw):
 
     Returns ``(squeezing_db, antisqueezing_db)`` of the pump's shape.
     Every pump must lie in [0, threshold); ``squeezer_variances`` applies
-    the ``SqueezerSpec`` checks to the levels.
+    the ``SqueezerSpec`` checks to the levels. Squeezing is clamped at 0 dB,
+    and is 0 dB at eta_det = 0, where the model's 0 dB rounds either way.
     """
     pump = np.asarray(p_pump_mw, dtype=float)
     outside = ~((0.0 <= pump) & (pump < params.p_threshold_mw))
@@ -83,8 +84,11 @@ def pump_spectra(params: OPOParams, p_pump_mw):
             f"{pump.flat[np.argmax(outside)]} mW with threshold "
             f"{params.p_threshold_mw} mW"
         )
-    return _spectra(np.sqrt(pump / params.p_threshold_mw), params.eta_det,
-                    params.omega**2)
+    squeezing_db, antisqueezing_db = _spectra(
+        np.sqrt(pump / params.p_threshold_mw), params.eta_det, params.omega**2)
+    if params.eta_det == 0.0:
+        squeezing_db = np.zeros_like(squeezing_db)
+    return np.maximum(squeezing_db, 0.0), antisqueezing_db
 
 
 def squeezing_spectra(params: OPOParams, p_pump_mw: float) -> SqueezerSpec:

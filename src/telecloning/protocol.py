@@ -15,10 +15,11 @@ The same physics is evaluated by three routes that must agree:
     variances.
 
 ``run_circuit_analytic``
-    Propagates the full covariance matrix through the network, performs
-    the Gaussian conditional update for the two measured quadratures, and
-    folds the feedforward displacement in exactly: the output covariance
-    is outcome independent and the output mean is the outcome average.
+    Propagates the full covariance matrix through the network, conditions
+    on the sender's two measured quadratures (``READOUT``) in one step of
+    ``homodyne.conditional``, and folds the feedforward displacement in
+    exactly: the output covariance is outcome independent and the output
+    mean is the outcome average.
 
 ``run_monte_carlo``
     Samples the two measurement outcomes of every shot from counter-based
@@ -41,10 +42,11 @@ the displacement.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,8 +61,9 @@ from .gaussian import (
     VACUUM_VARIANCE,
 )
 from .homodyne import (
-    DEGENERATE_VARIANCE_TOL,
-    DegenerateVarianceError,
+    QuadratureSelector,
+    conditional,
+    marginal,
     shot_normals,
     shot_stream,  # re-exported: draws shot j's normals one at a time
 )
@@ -68,6 +71,9 @@ from .resource import SqueezerSpec, build_telecloning_resource
 
 # mode layout of the joint state before the sender's beam splitter
 MODE_IN, MODE_A, MODE_B, MODE_C = 0, 1, 2, 3
+
+# the sender's readout of x on u and p on v; her splitter outputs are (v, u)
+READOUT = (QuadratureSelector(1, "x"), QuadratureSelector(0, "p"))
 
 # shots per Monte Carlo chunk: bounds the temporaries at any shot count;
 # on a 2-core x86 host 2**13 ran the Philox kernel faster than 2**12 or
@@ -91,6 +97,8 @@ class ProtocolConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "input_alpha", complex(self.input_alpha))
+        if not cmath.isfinite(self.input_alpha):
+            raise ValueError(f"input_alpha must be finite, got {self.input_alpha}")
         gains = tuple(float(g) for g in self.gains)
         if len(gains) != 4 or not all(math.isfinite(g) for g in gains):
             raise ValueError("gains must be four finite values (gx1, gp1, gx2, gp2)")
@@ -260,8 +268,7 @@ def circuit_states(config: ProtocolConfig) -> dict[str, GaussianState]:
 class _MeasurementPlan:
     """Affine structure of measurement plus feedforward, fixed per config.
 
-    After the sender's splitter the mode layout is (v, u, B, C) with
-    x measured on u and p on v. For outcome vector m = (x_u, p_v):
+    For outcome vector m = (x_u, p_v) of ``READOUT``:
 
         clone means = base_mean + gain_map (m - mu_q) + ffwd m
         clone cov   = cond_cov + (gain_map + ffwd) sigma_q (gain_map + ffwd)^T
@@ -277,15 +284,8 @@ class _MeasurementPlan:
 
 def _measurement_plan(config: ProtocolConfig) -> _MeasurementPlan:
     state = circuit_states(config)["detected"]
-    q_idx = np.array([2 * 1 + 0, 2 * 0 + 1])        # x of u, p of v
-    k_idx = np.array([4, 5, 6, 7])                  # B and C quadratures
-    sigma_q = state.cov[np.ix_(q_idx, q_idx)]
-    if np.diag(sigma_q).min() < DEGENERATE_VARIANCE_TOL:
-        raise DegenerateVarianceError("measured quadrature variance is degenerate")
-    cross = state.cov[np.ix_(k_idx, q_idx)]
-    gain_map = np.linalg.solve(sigma_q.T, cross.T).T
-    cond_cov = state.cov[np.ix_(k_idx, k_idx)] - gain_map @ cross.T
-    cond_cov = 0.5 * (cond_cov + cond_cov.T)
+    keep, gain_map, cond_cov = conditional(state, READOUT)
+    q_idx = np.array([sel.index() for sel in READOUT])
 
     g_x1, g_p1, g_x2, g_p2 = config.gains
     scale = math.sqrt(2.0) / math.sqrt(config.eta_homodyne)
@@ -296,9 +296,9 @@ def _measurement_plan(config: ProtocolConfig) -> _MeasurementPlan:
     ffwd[3, 1] = scale * g_p2
 
     return _MeasurementPlan(
-        base_mean=state.mean[k_idx].copy(),
-        mu_q=state.mean[q_idx].copy(),
-        sigma_q=sigma_q,
+        base_mean=state.mean[keep],
+        mu_q=state.mean[q_idx],
+        sigma_q=state.cov[np.ix_(q_idx, q_idx)],
         gain_map=gain_map,
         ffwd=ffwd,
         cond_cov=cond_cov,
@@ -408,32 +408,22 @@ def run_monte_carlo(config: ProtocolConfig, sampled: bool = False
         records[:, first:stop] = chunk
         if sampled:
             draws[:, first:stop] = drawn
-    means = records[2:]
 
+    # raw clone quadratures when sampled, else the conditional means
+    samples = draws if sampled else records[2:]
+    mean_hat = samples.mean(axis=1).tolist()
     cond_var = np.diag(plan.cond_cov)
-    if sampled:
-        mean_hat = draws.mean(axis=1)
-        var_hat = draws.var(axis=1, ddof=1) if n > 1 else cond_var.copy()
-    else:
-        mean_hat = means.mean(axis=1)
-        between = means.var(axis=1, ddof=1) if n > 1 else np.zeros(4)
-        var_hat = between + cond_var
     if n > 1:
-        spread = draws.var(axis=1, ddof=1) if sampled else means.var(axis=1, ddof=1)
-        se_mean = np.sqrt(var_hat / n) if sampled else np.sqrt(spread / n)
-        se_var = spread * math.sqrt(2.0 / (n - 1))
-    else:
-        se_mean = se_var = np.full(4, None)
+        spread = samples.var(axis=1, ddof=1)
+        var_hat = (spread if sampled else spread + cond_var).tolist()
+        se_mean = np.sqrt(spread / n).tolist()
+        se_var = (spread * math.sqrt(2.0 / (n - 1))).tolist()
+    else:  # one shot has no spread
+        var_hat, se_mean, se_var = cond_var.tolist(), [None] * 4, [None] * 4
+    fields = (mean_hat, var_hat, se_mean, se_var)
 
     def quad(k):
-        return QuadratureMoments(
-            mean_x=float(mean_hat[2 * k]), mean_p=float(mean_hat[2 * k + 1]),
-            var_x=float(var_hat[2 * k]), var_p=float(var_hat[2 * k + 1]),
-            se_mean_x=None if se_mean[2 * k] is None else float(se_mean[2 * k]),
-            se_mean_p=None if se_mean[2 * k + 1] is None else float(se_mean[2 * k + 1]),
-            se_var_x=None if se_var[2 * k] is None else float(se_var[2 * k]),
-            se_var_p=None if se_var[2 * k + 1] is None else float(se_var[2 * k + 1]),
-        )
+        return QuadratureMoments(*(f[j] for f in fields for j in (2 * k, 2 * k + 1)))
 
     return CloneMoments(quad(0), quad(1)), ShotRecords(records)
 
@@ -442,14 +432,10 @@ def alice_trace_levels(config: ProtocolConfig) -> tuple[float, float]:
     """Sender-side diagnostics of the measured p port.
 
     Returns ``(var_p_v, amplitude_reduction_db)`` where ``var_p_v`` is the
-    detected variance of the p outcome for a vacuum input (displacement
-    independent, so it equals the coherent-input value) and the reduction
+    detected variance of the p outcome (displacement independent, so the
+    same for every input amplitude, vacuum included) and the reduction
     is the mean-power loss of the measured state relative to the input
     imposed by the sender's balanced splitter: exactly 10 log10(2) dB.
     """
-    vac_config = replace(config, input_alpha=0j)
-    detected = circuit_states(vac_config)["detected"]
-    var_p_v = float(detected.cov[1, 1])
-    in_weight = abs(beam_splitter_50_50().entries[2, 0])  # input share of the u port
-    reduction_db = float(-20.0 * np.log10(in_weight))
-    return var_p_v, reduction_db
+    _, var_p_v = marginal(circuit_states(config)["detected"], READOUT[1])
+    return var_p_v, 10.0 * math.log10(2.0)

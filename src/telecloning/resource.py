@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import (
+    MIN_VARIANCE_PRODUCT,
     GaussianState,
     PhysicalityError,
     SymplecticMatrix,
@@ -68,23 +69,23 @@ class SqueezerSpec:
 def squeezer_variances(squeezing_db, antisqueezing_db):
     """Squeezed and antisqueezed variances of dB noise levels, elementwise.
 
-    Holds the checks of every ``SqueezerSpec``: a negative magnitude
-    raises ``ValueError``, a pair with v_sq * v_anti below 1/16 (less
-    1e-12) raises ``PhysicalityError``, and a variance that overflows
-    raises ``FloatingPointError``; each message names the first offending
-    value. Returns ``(v_sq, v_anti)``.
+    Holds the checks of every ``SqueezerSpec``: a negative or non-finite
+    magnitude raises ``ValueError``, a pair with v_sq * v_anti below
+    ``MIN_VARIANCE_PRODUCT`` raises ``PhysicalityError``, and a variance
+    that overflows raises ``FloatingPointError``; each message names the
+    first offending value. Returns ``(v_sq, v_anti)``.
     """
     sq = np.asarray(squeezing_db, dtype=float)
     anti = np.asarray(antisqueezing_db, dtype=float)
-    negative = (sq < 0.0) | (anti < 0.0)
-    if negative.any():
-        k = np.argmax(negative)
-        raise ValueError("dB noise levels are magnitudes and must be >= 0; got "
-                         f"{sq.flat[k]} and {anti.flat[k]} dB")
+    bad = ~(np.isfinite(sq) & np.isfinite(anti) & (sq >= 0.0) & (anti >= 0.0))
+    if bad.any():
+        k = np.argmax(bad)
+        raise ValueError("dB noise levels are magnitudes and must be finite and "
+                         f">= 0; got {sq.flat[k]} and {anti.flat[k]} dB")
     with np.errstate(over="raise"):
         v_sq = db_to_variance(-sq)
         v_anti = db_to_variance(anti)
-    unphysical = v_sq * v_anti < 0.25**2 - 1e-12
+    unphysical = v_sq * v_anti < MIN_VARIANCE_PRODUCT
     if unphysical.any():
         k = np.argmax(unphysical)
         raise PhysicalityError(

@@ -5,8 +5,10 @@ import math
 import numpy as np
 
 from telecloning import (
+    DegenerateVarianceError,
     GaussianState,
     ProtocolConfig,
+    QuadratureSelector,
     SqueezerSpec,
     SymplecticMatrix,
     apply_symplectic,
@@ -41,6 +43,10 @@ def random_state(rng, n_modes: int) -> GaussianState:
     for mode in range(n_modes):
         state = displace(state, mode, rng.uniform(-3, 3), rng.uniform(-3, 3))
     return state
+
+
+def random_selector(rng, n_modes: int) -> QuadratureSelector:
+    return QuadratureSelector(int(rng.integers(n_modes)), "xp"[rng.integers(2)])
 
 
 def random_config(rng) -> ProtocolConfig:
@@ -123,3 +129,21 @@ def reference_fidelity(mean, cov, alpha: complex) -> float:
     delta = mean - np.array([alpha.real, alpha.imag])
     quad = float(delta @ np.linalg.solve(sigma, delta))
     return float(np.exp(-0.5 * quad) / (2.0 * np.sqrt(np.linalg.det(sigma))))
+
+
+def reference_condition_on(state: GaussianState, sel, value: float) -> GaussianState:
+    """``condition_on`` as first written: a rank-1 Schur complement."""
+    if sel.mode >= state.n_modes:
+        raise ValueError(f"selector mode {sel.mode} out of range")
+    if state.n_modes < 2:
+        raise ValueError("conditioning drops the measured mode; need at least 2 modes")
+    i = sel.index()
+    v_q = state.cov[i, i]
+    if v_q < 1e-12:
+        raise DegenerateVarianceError(f"marginal variance {v_q:.3e} is degenerate")
+    keep = np.array([j for j in range(state.mean.size) if j // 2 != sel.mode])
+    c = state.cov[keep, i]
+    mean_k = state.mean[keep] + c * (value - state.mean[i]) / v_q
+    cov_k = state.cov[np.ix_(keep, keep)] - np.outer(c, c) / v_q
+    cov_k = 0.5 * (cov_k + cov_k.T)
+    return GaussianState(mean_k, cov_k)

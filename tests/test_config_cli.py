@@ -199,6 +199,17 @@ def test_sweep_pump_param(capsys, tmp_path):
     assert all(float(r[5]) <= 2 / 3 + 1e-9 for r in rows)
 
 
+def test_sweep_pump_without_detected_squeezing(capsys, tmp_path):
+    cfg = tmp_path / "dark.cfg"
+    cfg.write_text("[opo]\np_threshold_mw = 100.0\neta_det = 0\n")
+    code, out, err = run_cli(capsys, "sweep", str(cfg), "--param", "pump_mw",
+                             "--from", "0", "--to", "99.99", "--steps", "401")
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == 401
+    assert all(r[1:3] == ["0", "0"] and float(r[5]) == 0.5 for r in rows)
+
+
 def test_sweep_invalid_range_exits_1(capsys):
     code, _, err = run_cli(capsys, "sweep", str(CONFIGS / "optimal.cfg"),
                            "--param", "squeezing_db",

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from telecloning import (
     GaussianState,
     PhysicalityError,
+    QuadratureSelector,
     SymplecticMatrix,
     apply_symplectic,
     assert_physical,
@@ -12,6 +15,7 @@ from telecloning import (
     displace,
     is_physical,
     loss_channel,
+    marginal,
     partial_trace,
     phase_shift,
     squeezed_vacuum,
@@ -20,6 +24,7 @@ from telecloning import (
     tensor,
     vacuum,
 )
+from telecloning.gaussian import SYMMETRY_TOL, _is_symmetric
 from helpers import random_state, random_squeeze
 
 
@@ -159,6 +164,46 @@ def test_apply_symplectic_dimension_mismatch():
 def test_apply_symplectic_duplicate_modes():
     with pytest.raises(ValueError):
         apply_symplectic(vacuum(3), beam_splitter_50_50(), [1, 1])
+
+
+@pytest.mark.parametrize("mode", (-1, 2))
+def test_every_operation_checks_mode_range(mode):
+    st = vacuum(2)
+    for operation in (lambda: apply_symplectic(st, phase_shift(0.3), [mode]),
+                      lambda: displace(st, mode, 1.0, 0.0),
+                      lambda: loss_channel(st, mode, 0.5),
+                      lambda: partial_trace(st, [mode]),
+                      lambda: marginal(st, QuadratureSelector(mode, "x"))):
+        with pytest.raises(ValueError, match="out of range"):
+            operation()
+    with pytest.raises(ValueError, match="duplicate"):
+        partial_trace(st, [1, 1])
+
+
+def test_symmetry_check_equals_allclose():
+    base = np.random.default_rng(5).normal(size=(4, 4))
+    base = base + base.T
+    edge = np.zeros((4, 4))
+    edge[0, 1] = SYMMETRY_TOL  # exactly at the tolerance: symmetric
+    cases = [base, edge]
+    for delta in (0.5e-12, 1e-12, 1.5e-12, 1e-6):
+        case = base.copy()
+        case[0, 1] += delta
+        cases.append(case)
+    for value in (np.inf, -np.inf, np.nan):
+        for cells in (((0, 1), (1, 0)), ((2, 2),), ((0, 1),)):
+            case = base.copy()
+            for cell in cells:
+                case[cell] = value
+            cases.append(case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for case in cases:
+            assert _is_symmetric(case) == np.allclose(case, case.T, rtol=0.0,
+                                                      atol=SYMMETRY_TOL)
+        stack = np.stack(cases)
+        assert not _is_symmetric(stack)
+        assert _is_symmetric(stack[[0, 1, 2, 6, 7]])  # in tolerance, equal infinities
 
 
 def test_symplectic_matrix_rejects_non_symplectic():

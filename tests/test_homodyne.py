@@ -4,6 +4,7 @@ from scipy.special import ndtri
 
 from telecloning import (
     DegenerateVarianceError,
+    GaussianState,
     QuadratureSelector,
     SqueezerSpec,
     build_telecloning_resource,
@@ -18,8 +19,8 @@ from telecloning import (
     tensor,
     vacuum,
 )
-from telecloning.homodyne import _philox_words, _to_normal
-from helpers import random_state
+from telecloning.homodyne import _philox_words, _to_normal, conditional
+from helpers import random_selector, random_state, reference_condition_on
 
 X0 = QuadratureSelector(0, "x")
 P0 = QuadratureSelector(0, "p")
@@ -114,6 +115,65 @@ def test_conditioning_degenerate_variance_raises():
 def test_conditioning_single_mode_state_rejected():
     with pytest.raises(ValueError):
         condition_on(vacuum(1), X0, 0.0)
+
+
+def test_condition_on_matches_rank_one_reference():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        st = random_state(rng, int(rng.integers(2, 5)))
+        sel = random_selector(rng, st.n_modes)
+        value = float(rng.normal(0, 2))
+        out = condition_on(st, sel, value)
+        ref = reference_condition_on(st, sel, value)
+        np.testing.assert_allclose(out.mean, ref.mean, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out.cov, ref.cov, rtol=1e-12, atol=1e-12)
+
+
+def successive_conditioning(state, first, second):
+    """Gain and covariance of conditioning on two quadratures one at a time.
+
+    The gain columns are the conditional means of a zero-mean copy at unit
+    outcomes; ``second`` names its mode in the original numbering.
+    """
+    zero = GaussianState(np.zeros_like(state.mean), state.cov)
+    second_after = QuadratureSelector(second.mode - (second.mode > first.mode),
+                                      second.which)
+    columns = [condition_on(condition_on(zero, first, a), second_after, b)
+               for a, b in ((1.0, 0.0), (0.0, 1.0))]
+    return np.column_stack([c.mean for c in columns]), columns[0].cov
+
+
+def assert_close_relative(actual, expected, rtol=1e-12):
+    assert np.abs(actual - expected).max() <= rtol * np.abs(expected).max()
+
+
+def test_joint_conditioning_equals_successive():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        st = random_state(rng, int(rng.integers(3, 5)))
+        first, second = (QuadratureSelector(int(m), "xp"[rng.integers(2)])
+                         for m in rng.choice(st.n_modes, size=2, replace=False))
+        keep, gain, cov = conditional(st, [first, second])
+        assert keep.tolist() == [j for j in range(st.mean.size)
+                                 if j // 2 not in (first.mode, second.mode)]
+        gain_seq, cov_seq = successive_conditioning(st, first, second)
+        assert_close_relative(gain, gain_seq)
+        assert_close_relative(cov, cov_seq)
+        assert np.array_equal(cov, cov.T)
+
+
+def test_joint_conditioning_rejects_bad_selectors():
+    st = random_state(np.random.default_rng(9), 2)
+    with pytest.raises(ValueError, match="duplicate"):
+        conditional(st, [X0, P0])
+    with pytest.raises(ValueError, match="out of range"):
+        conditional(st, [QuadratureSelector(2, "x")])
+    with pytest.raises(ValueError):
+        conditional(st, [X0, QuadratureSelector(1, "p")])  # nothing left
+    narrow = tensor(squeezed_vacuum(0.5, 0.5), squeezed_vacuum(1e-14, 0.0625 / 1e-14),
+                    vacuum(1))
+    with pytest.raises(DegenerateVarianceError):
+        conditional(narrow, [X0, QuadratureSelector(1, "x")])
 
 
 def test_sampling_is_seed_deterministic():

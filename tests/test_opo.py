@@ -156,6 +156,16 @@ def test_fit_rejects_negative_pump():
         fit_params(data)
 
 
+def test_no_detected_squeezing_gives_exactly_0_db():
+    # at eta_det = 0 the model's 0 dB squeezing rounds to either side of zero
+    params = OPOParams(100.0, 0.0)
+    for p in np.linspace(0.0, 99.99, 401):
+        spec = squeezing_spectra(params, float(p))
+        assert (spec.squeezing_db, spec.antisqueezing_db) == (0.0, 0.0)
+    squeezing, antisqueezing = pump_spectra(params, np.linspace(0.0, 99.99, 401))
+    assert np.all(squeezing == 0.0) and np.all(antisqueezing == 0.0)
+
+
 def test_pump_spectra_match_scalar_bit_for_bit():
     pumps = np.concatenate([[0.0, 1e-12], np.linspace(0.0, 99.99, 401),
                             np.random.default_rng(1).uniform(0.0, 100.0, 200)])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from telecloning import (
+    GaussianState,
     ProtocolConfig,
     QuadratureSelector,
     ShotRecord,
@@ -11,6 +12,7 @@ from telecloning import (
     SqueezerSpec,
     alice_trace_levels,
     circuit_states,
+    condition_on,
     clone_output_state,
     displace,
     is_physical,
@@ -23,6 +25,7 @@ from telecloning import (
 )
 from telecloning.protocol import (
     _CHUNK_SHOTS,
+    READOUT,
     _measurement_plan,
     _psd_sqrt,
     _simulate_shot,
@@ -54,6 +57,31 @@ def test_config_validation():
         ProtocolConfig(OPT, OPT, eta_resource=(1.0, 1.2, 1.0))
     with pytest.raises(ValueError):
         ProtocolConfig(OPT, OPT, gains=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("alpha", (complex(np.nan, 0.0), complex(0.0, np.inf),
+                                   complex(-np.inf, 1.0)))
+def test_config_rejects_non_finite_input(alpha):
+    with pytest.raises(ValueError, match="input_alpha") as info:
+        ProtocolConfig(OPT, OPT, input_alpha=alpha)
+    assert str(alpha) in str(info.value)
+
+
+def test_plan_conditioning_equals_successive_readouts():
+    # the plan's joint x/p conditioning equals reading x_u, then p_v
+    rng = np.random.default_rng(12)
+    first, second = READOUT
+    assert second.mode < first.mode  # p_v keeps its mode number after x_u
+    for _ in range(50):
+        config = random_config(rng)
+        plan = _measurement_plan(config)
+        detected = circuit_states(config)["detected"]
+        zero = GaussianState(np.zeros_like(detected.mean), detected.cov)
+        columns = [condition_on(condition_on(zero, first, a), second, b)
+                   for a, b in ((1.0, 0.0), (0.0, 1.0))]
+        gain = np.column_stack([c.mean for c in columns])
+        for actual, expected in ((plan.gain_map, gain), (plan.cond_cov, columns[0].cov)):
+            assert np.abs(actual - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_optimal_point_moments():
@@ -218,6 +246,39 @@ def test_bell_outcome_distribution():
     expect = 0.5 * (joint.cov[0, 0] + joint.cov[2, 2])
     se = expect * np.sqrt(2.0 / (len(x_u) - 1))
     assert abs(x_u.var(ddof=1) - expect) < 5 * se
+
+
+@pytest.mark.parametrize("sampled", (False, True))
+@pytest.mark.parametrize("shots", (1, 2, 5000))
+def test_monte_carlo_estimator_matches_per_mode_reference(shots, sampled):
+    # the estimator as first written, one branch per mode
+    config = ProtocolConfig(SqueezerSpec(5, 8), SqueezerSpec(4, 6), input_alpha=1 - 2j,
+                            eta_homodyne=0.9, shots=shots, seed=23)
+    moments, records = run_monte_carlo(config, sampled=sampled)
+    plan = _measurement_plan(config)
+    cond_var = np.diag(plan.cond_cov)
+    means = records.columns[2:]
+    if sampled:
+        _, draws = _simulate_shots(plan, config.seed, 0, shots, _psd_sqrt(plan.cond_cov))
+        mean_hat = draws.mean(axis=1)
+        var_hat = draws.var(axis=1, ddof=1) if shots > 1 else cond_var.copy()
+    else:
+        mean_hat = means.mean(axis=1)
+        between = means.var(axis=1, ddof=1) if shots > 1 else np.zeros(4)
+        var_hat = between + cond_var
+    if shots > 1:
+        spread = draws.var(axis=1, ddof=1) if sampled else means.var(axis=1, ddof=1)
+        se_mean = np.sqrt(var_hat / shots) if sampled else np.sqrt(spread / shots)
+        se_var = spread * np.sqrt(2.0 / (shots - 1))
+    else:
+        se_mean = se_var = [None] * 4
+    expected = [mean_hat[0], mean_hat[1], var_hat[0], var_hat[1], se_mean[0], se_mean[1],
+                se_var[0], se_var[1], mean_hat[2], mean_hat[3], var_hat[2], var_hat[3],
+                se_mean[2], se_mean[3], se_var[2], se_var[3]]
+    actual = [getattr(getattr(moments, clone), field.name)
+              for clone in ("clone1", "clone2")
+              for field in dataclasses.fields(moments.clone1)]
+    assert actual == expected
 
 
 def test_single_shot_run_is_valid():

@@ -47,6 +47,18 @@ def test_spec_rejects_negative_db():
         SqueezerSpec(-1.0, 3.0)
 
 
+@pytest.mark.parametrize("levels", ((np.nan, np.nan), (np.inf, np.inf), (3.0, np.nan),
+                                    (np.inf, 3.0), (-np.inf, 3.0)))
+def test_spec_rejects_non_finite_db(levels):
+    # inf dB gives v_sq * v_anti = 0 * inf = NaN, which no bound comparison catches
+    with pytest.raises(ValueError, match="finite") as info:
+        SqueezerSpec(*levels)
+    assert info.type is ValueError
+    assert f"{levels[0]} and {levels[1]} dB" in str(info.value)
+    with pytest.raises(ValueError, match="nan"):
+        squeezer_variances(np.array([1.0, np.nan]), np.array([1.0, 1.0]))
+
+
 def test_zero_squeezing_gives_uncorrelated_vacua():
     res = build_telecloning_resource(SqueezerSpec.pure(0), SqueezerSpec.pure(0))
     assert np.allclose(res.state.cov, 0.25 * np.eye(6), atol=1e-14)
