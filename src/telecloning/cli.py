@@ -8,7 +8,6 @@ a short human-readable summary goes to stderr. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -35,8 +34,8 @@ from .protocol import (
     run_monte_carlo,
 )
 from .resource import (
+    ResourceState,
     bipartite_criterion_lhs,
-    build_telecloning_resource,
     clone_pair_criterion_lhs,
     optimal_squeezing,
     squeezer_variances,
@@ -49,14 +48,7 @@ _SWEEP_ROW = ",".join([_FLOAT_FMT] * 6) + "\n"
 _CSV_BLOCK_ROWS = 1 << 13
 
 
-def _moments_dict(moments: CloneMoments) -> dict:
-    return {name: dataclasses.asdict(getattr(moments, name))
-            for name in ("clone1", "clone2")}
-
-
-def _criteria_dict(config: ProtocolConfig) -> dict:
-    resource = build_telecloning_resource(config.spec_i, config.spec_ii,
-                                          config.eta_resource)
+def _criteria_dict(resource: ResourceState) -> dict:
     return {
         "a_b": bipartite_criterion_lhs(resource, "B"),
         "a_c": bipartite_criterion_lhs(resource, "C"),
@@ -66,22 +58,20 @@ def _criteria_dict(config: ProtocolConfig) -> dict:
 
 def _gains_dict(moments: CloneMoments, alpha: complex) -> dict | None:
     try:
-        return dataclasses.asdict(estimate_gains(moments, alpha))
+        return dict(vars(estimate_gains(moments, alpha)))
     except UndefinedGainError:
         return None
 
 
-def _fidelity_dict(moments: CloneMoments, alpha: complex) -> dict:
-    return dataclasses.asdict(fidelity_report(moments, alpha))
-
-
 def _run_output(cfg: dict, config: ProtocolConfig, moments: CloneMoments,
-                mode: str) -> dict:
+                mode: str, resource: ResourceState) -> dict:
+    # the result dataclasses hold plain values: their field dicts are the JSON
     return {
         "config": cfg,
-        "clone_moments": _moments_dict(moments),
-        "fidelity": _fidelity_dict(moments, config.input_alpha),
-        "criteria": _criteria_dict(config),
+        "clone_moments": {"clone1": dict(vars(moments.clone1)),
+                          "clone2": dict(vars(moments.clone2))},
+        "fidelity": dict(vars(fidelity_report(moments, config.input_alpha))),
+        "criteria": _criteria_dict(resource),
         "gains": _gains_dict(moments, config.input_alpha),
         "provenance": {
             "seed": config.seed,
@@ -106,7 +96,8 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     config = protocol_config_from(cfg)
     direct = run_analytic(config)
-    circuit = run_circuit_analytic(config)
+    resource = config.build_resource()  # shared by the circuit route and the criteria
+    circuit = run_circuit_analytic(config, resource)
     worst = max(
         abs(getattr(getattr(direct, c), f) - getattr(getattr(circuit, c), f))
         for c in ("clone1", "clone2")
@@ -115,7 +106,7 @@ def cmd_run(args) -> int:
     if worst > PATH_AGREEMENT_TOL:
         print(f"error: analytic paths disagree by {worst:.3e}", file=sys.stderr)
         return 2
-    out = _run_output(cfg, config, circuit, "analytic")
+    out = _run_output(cfg, config, circuit, "analytic", resource)
     out["provenance"]["path_agreement"] = worst
     _emit(out)
     _summary([
@@ -135,14 +126,17 @@ def cmd_sample(args) -> int:
     config = protocol_config_from(cfg)
     moments, records = run_monte_carlo(config, sampled=args.sampled)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            handle.write("shot,x_u,p_v,x1,p1,x2,p2\n")
-            # blocks of rows keep the formatted text small at any shot count
-            for first in range(0, len(records), _CSV_BLOCK_ROWS):
-                block = records.columns[:, first:first + _CSV_BLOCK_ROWS]
-                rows = zip(range(first, first + block.shape[1]), *block.tolist())
-                handle.write("".join(_CSV_ROW % row for row in rows))
-    out = _run_output(cfg, config, moments, "monte-carlo")
+        try:
+            with open(args.csv, "w", encoding="utf-8", newline="") as handle:
+                handle.write("shot,x_u,p_v,x1,p1,x2,p2\n")
+                # blocks of rows keep the formatted text small at any shot count
+                for first in range(0, len(records), _CSV_BLOCK_ROWS):
+                    block = records.columns[:, first:first + _CSV_BLOCK_ROWS]
+                    rows = zip(range(first, first + block.shape[1]), *block.tolist())
+                    handle.write("".join(_CSV_ROW % row for row in rows))
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.csv}: {exc.strerror or exc}") from exc
+    out = _run_output(cfg, config, moments, "monte-carlo", config.build_resource())
     out["provenance"]["rng"] = RNG_CONTRACT
     _emit(out)
     _summary([
@@ -216,7 +210,7 @@ def cmd_criteria(args) -> int:
     r_star, e_minus_2r, db = optimal_squeezing()
     out = {
         "config": cfg,
-        "criteria": _criteria_dict(config),
+        "criteria": _criteria_dict(config.build_resource()),
         "optimal_squeezing": {"r_star": r_star, "e_minus_2r": e_minus_2r, "db": db},
     }
     _emit(out)
@@ -262,8 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # built once per process; parsing leaves it unchanged
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -33,13 +33,26 @@ class PhysicalityError(ValueError):
 def _is_symmetric(matrix: np.ndarray) -> bool:
     """``np.allclose(m, m^T, rtol=0, atol=SYMMETRY_TOL)`` without its overhead."""
     t = matrix.swapaxes(-1, -2)
+    equal = matrix == t
+    if equal.all():  # the common case, without the cost of errstate
+        return True
     with np.errstate(invalid="ignore"):  # inf - inf; equal infinities pass
-        return bool(((matrix == t) | (np.abs(matrix - t) <= SYMMETRY_TOL)).all())
+        return bool((equal | (np.abs(matrix - t) <= SYMMETRY_TOL)).all())
+
+
+_OMEGAS: dict[int, np.ndarray] = {}  # read-only symplectic form per mode count
+
+
+def _omega(n_modes: int) -> np.ndarray:
+    if n_modes not in _OMEGAS:
+        _OMEGAS[n_modes] = np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        _OMEGAS[n_modes].flags.writeable = False
+    return _OMEGAS[n_modes]
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Direct sum of n [[0, 1], [-1, 0]] blocks in the interleaved ordering."""
-    return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    return _omega(n_modes).copy()
 
 
 @dataclass(frozen=True)
@@ -68,7 +81,7 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class SymplecticMatrix:
-    """Real matrix S acting on k modes with S^T Omega S = Omega."""
+    """Real matrix S acting on k modes with S^T Omega S = Omega; read-only entries."""
 
     entries: np.ndarray
 
@@ -76,9 +89,10 @@ class SymplecticMatrix:
         entries = np.array(self.entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] % 2:
             raise ValueError(f"symplectic matrix must be square of even size, got {entries.shape}")
-        omega = symplectic_form(entries.shape[0] // 2)
+        omega = _omega(entries.shape[0] // 2)
         if not np.allclose(entries.T @ omega @ entries, omega, rtol=0.0, atol=SYMMETRY_TOL):
             raise ValueError("matrix does not satisfy S^T Omega S = Omega")
+        entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -133,14 +147,18 @@ def tensor(*states: GaussianState) -> GaussianState:
     return GaussianState(mean, cov)
 
 
+_BEAM_SPLITTER_50_50 = SymplecticMatrix(
+    np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), np.eye(2)))
+
+
 def beam_splitter_50_50() -> SymplecticMatrix:
     """Balanced beam splitter on a mode pair.
 
     Acts identically on x and p: out1 = (in1 + in2)/sqrt(2),
-    out2 = (in1 - in2)/sqrt(2).
+    out2 = (in1 - in2)/sqrt(2). Every call returns the same read-only
+    matrix, checked once at import.
     """
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    return SymplecticMatrix(np.kron(h, np.eye(2)))
+    return _BEAM_SPLITTER_50_50
 
 
 def phase_shift(phi: float) -> SymplecticMatrix:
@@ -216,7 +234,7 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
     which come in +/- pairs; one representative per pair is returned. The
     covariance is symmetric: ``GaussianState`` checks it.
     """
-    omega = symplectic_form(state.n_modes)
+    omega = _omega(state.n_modes)
     nu = np.sort(np.abs(np.linalg.eigvals(1j * omega @ state.cov)))
     return nu[::2].copy()
 

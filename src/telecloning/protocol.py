@@ -67,7 +67,7 @@ from .homodyne import (
     shot_normals,
     shot_stream,  # re-exported: draws shot j's normals one at a time
 )
-from .resource import SqueezerSpec, build_telecloning_resource
+from .resource import ResourceState, SqueezerSpec, build_telecloning_resource
 
 # mode layout of the joint state before the sender's beam splitter
 MODE_IN, MODE_A, MODE_B, MODE_C = 0, 1, 2, 3
@@ -114,6 +114,10 @@ class ProtocolConfig:
             raise ValueError("coupler_t must lie in (0, 1]")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+
+    def build_resource(self) -> ResourceState:
+        """The (A, B, C) resource of this experiment, with its losses."""
+        return build_telecloning_resource(self.spec_i, self.spec_ii, self.eta_resource)
 
 
 @dataclass(frozen=True)
@@ -242,10 +246,12 @@ def run_analytic(config: ProtocolConfig) -> CloneMoments:
     )
 
 
-def circuit_states(config: ProtocolConfig) -> dict[str, GaussianState]:
-    """Named snapshots of the covariance pipeline, for audits and demos."""
-    resource = build_telecloning_resource(config.spec_i, config.spec_ii,
-                                          config.eta_resource)
+def circuit_states(config: ProtocolConfig, resource: ResourceState | None = None
+                   ) -> dict[str, GaussianState]:
+    """Named snapshots of the covariance pipeline, for audits and demos;
+    ``resource`` is ``config.build_resource()``, built here when not given."""
+    if resource is None:
+        resource = config.build_resource()
     joint = tensor(coherent([config.input_alpha]), resource.state)
     # the receiver-side coupler acts on B and C only, so it commutes with
     # everything the sender does; apply it before her beam splitter
@@ -282,8 +288,9 @@ class _MeasurementPlan:
     cond_cov: np.ndarray    # (4,4) outcome-independent conditional covariance
 
 
-def _measurement_plan(config: ProtocolConfig) -> _MeasurementPlan:
-    state = circuit_states(config)["detected"]
+def _measurement_plan(config: ProtocolConfig,
+                      resource: ResourceState | None = None) -> _MeasurementPlan:
+    state = circuit_states(config, resource)["detected"]
     keep, gain_map, cond_cov = conditional(state, READOUT)
     q_idx = np.array([sel.index() for sel in READOUT])
 
@@ -305,13 +312,14 @@ def _measurement_plan(config: ProtocolConfig) -> _MeasurementPlan:
     )
 
 
-def clone_output_state(config: ProtocolConfig) -> GaussianState:
+def clone_output_state(config: ProtocolConfig,
+                       resource: ResourceState | None = None) -> GaussianState:
     """Two-mode Gaussian state of the clones after feedforward.
 
     This is the ensemble state averaged over measurement outcomes; for a
-    fixed outcome only the mean differs.
+    fixed outcome only the mean differs. ``resource`` as in ``circuit_states``.
     """
-    plan = _measurement_plan(config)
+    plan = _measurement_plan(config, resource)
     total = plan.gain_map + plan.ffwd
     out_mean = plan.base_mean + plan.ffwd @ plan.mu_q
     out_cov = plan.cond_cov + total @ plan.sigma_q @ total.T
@@ -321,9 +329,11 @@ def clone_output_state(config: ProtocolConfig) -> GaussianState:
     return state
 
 
-def run_circuit_analytic(config: ProtocolConfig) -> CloneMoments:
-    """Clone moments from the covariance-matrix pipeline."""
-    out = clone_output_state(config)
+def run_circuit_analytic(config: ProtocolConfig,
+                         resource: ResourceState | None = None) -> CloneMoments:
+    """Clone moments from the covariance-matrix pipeline; ``resource`` as
+    in ``circuit_states``."""
+    out = clone_output_state(config, resource)
     m, c = out.mean, out.cov
     return CloneMoments(
         QuadratureMoments(float(m[0]), float(m[1]), float(c[0, 0]), float(c[1, 1])),

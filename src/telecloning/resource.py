@@ -125,7 +125,8 @@ def build_telecloning_resource(spec_i: SqueezerSpec, spec_ii: SqueezerSpec,
 
     Mode i enters antisqueezed in x, mode ii antisqueezed in p. The first
     splitter produces A = (i + ii)/sqrt(2) and an internal mode; the
-    second splits the internal mode against a vacuum into B and C.
+    second splits the internal mode against a vacuum into B and C; then
+    mode k of (A, B, C) loses 1 - eta[k] to vacuum.
     """
     mode_i = squeezed_vacuum(spec_i.antisqueezed_variance, spec_i.squeezed_variance)
     mode_ii = squeezed_vacuum(spec_ii.squeezed_variance, spec_ii.antisqueezed_variance)

@@ -145,6 +145,39 @@ def test_sample_writes_deterministic_csv(capsys, tmp_path):
     assert "\r" not in a.read_text()
 
 
+def test_sample_unwritable_csv_exits_1_without_output(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "sample", str(CONFIGS / "optimal.cfg"),
+                             "--shots", "10", "--csv", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"config error: cannot write {path}")
+    assert not path.parent.exists()
+
+
+def test_commands_print_the_same_bytes_when_repeated_in_one_process(capsys, tmp_path):
+    with pytest.raises(SystemExit):  # a rejected command line comes first
+        main(["no-such-command"])
+    capsys.readouterr()
+    cfg = str(CONFIGS / "paper.cfg")
+    csv_path = tmp_path / "shots.csv"
+    commands = (
+        ["run", cfg],
+        ["criteria", cfg],
+        ["sample", cfg, "--shots", "300", "--seed", "5", "--csv", str(csv_path)],
+        ["sample", cfg, "--shots", "300", "--seed", "5", "--sampled"],
+        ["sweep", cfg, "--param", "pump_mw", "--from", "0", "--to", "90", "--steps", "31"],
+        ["sweep", cfg, "--param", "squeezing_db", "--from", "0", "--to", "12",
+         "--steps", "31"],
+    )
+    csv_path.write_bytes(b"")
+    for argv in commands:
+        first = run_cli(capsys, *argv), csv_path.read_bytes()
+        second = run_cli(capsys, *argv), csv_path.read_bytes()
+        assert first[0][0] == 0, argv
+        assert first == second, argv
+
+
 def test_sample_single_shot(capsys, tmp_path):
     path = tmp_path / "one.csv"
     code, out, _ = run_cli(capsys, "sample", str(CONFIGS / "optimal.cfg"),

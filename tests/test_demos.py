@@ -20,7 +20,9 @@ def run_demo(name: str) -> str:
 
 @pytest.mark.parametrize("name, expected", (
     ("01_states_and_optics.py", "marginal of the measured port"),  # condition_on
+    ("02_entanglement_criteria.py", "impure squeezers"),  # lossless resources
     ("03_telecloning_run.py", "sender diagnostics at the optimum"),  # alice_trace_levels
+    ("04_monte_carlo.py", "re-run with same seed identical: True"),
 ))
 def test_demo_runs(name, expected):
     assert expected in run_demo(name)

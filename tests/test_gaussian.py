@@ -100,6 +100,23 @@ def test_beam_splitter_is_symplectic():
     assert np.allclose(s.T @ omega @ s, omega, atol=1e-14)
 
 
+def test_beam_splitter_is_one_read_only_matrix():
+    bs = beam_splitter_50_50()
+    assert bs is beam_splitter_50_50()
+    with pytest.raises(ValueError, match="read-only"):
+        bs.entries[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        phase_shift(0.3).entries[0, 1] = 1.0
+
+
+def test_mutating_a_symplectic_form_leaves_the_next_call_unchanged():
+    omega = symplectic_form(3)
+    expected = omega.copy()
+    omega[:] = 7.0
+    assert np.array_equal(symplectic_form(3), expected)
+    assert np.allclose(symplectic_eigenvalues(vacuum(3)), 0.25, rtol=0, atol=1e-15)
+
+
 def test_beam_splitter_preserves_vacuum():
     st = apply_symplectic(vacuum(2), beam_splitter_50_50(), [0, 1])
     assert np.allclose(st.cov, 0.25 * np.eye(4), atol=1e-14)

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +32,10 @@ from telecloning.protocol import (
     _simulate_shot,
     _simulate_shots,
 )
+from telecloning.config import load_config, protocol_config_from
 from helpers import random_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 _, _, OPT_DB = optimal_squeezing()
 OPT = SqueezerSpec.pure(OPT_DB)
@@ -360,3 +364,35 @@ def test_shot_records_sequence():
         records.columns[0, 0] = 1.0
     with pytest.raises(IndexError):
         records[5]
+
+
+def _pipeline_configs():
+    rng = np.random.default_rng(20241)
+    bundled = [protocol_config_from(load_config(str(CONFIGS / f"{name}.cfg")))
+               for name in ("paper", "optimal", "classical")]
+    return bundled + [random_config(rng) for _ in range(200)]
+
+
+def test_shared_resource_gives_bit_identical_pipeline():
+    for config in _pipeline_configs():
+        resource = config.build_resource()
+        own = circuit_states(config)
+        shared = circuit_states(config, resource)
+        assert list(shared) == ["resource", "joint", "bell_split", "detected"]
+        assert shared["resource"] is resource.state
+        for name, state in own.items():
+            assert np.array_equal(state.mean, shared[name].mean), name
+            assert np.array_equal(state.cov, shared[name].cov), name
+        plan, shared_plan = _measurement_plan(config), _measurement_plan(config, resource)
+        for field in dataclasses.fields(plan):
+            assert np.array_equal(getattr(plan, field.name),
+                                  getattr(shared_plan, field.name)), field.name
+        assert run_circuit_analytic(config, resource) == run_circuit_analytic(config)
+
+
+def test_pipeline_keeps_the_transmissivity_check():
+    config = optimal_config()
+    object.__setattr__(config, "coupler_t", 1.5)  # past ProtocolConfig's own check
+    for route in (circuit_states, run_circuit_analytic):
+        with pytest.raises(ValueError, match=r"^transmissivity must lie in \[0, 1\], got 1\.5$"):
+            route(config)

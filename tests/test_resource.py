@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -208,3 +210,33 @@ def test_squeezer_variances_apply_spec_checks_elementwise():
         squeezer_variances(np.array([1.0, 6.0]), np.array([1.0, 3.0]))
     with pytest.raises(FloatingPointError):
         squeezer_variances(np.array([0.0, 1e308]), np.array([0.0, 1e308]))
+
+
+@pytest.mark.parametrize("eta, message", (
+    ((1.0, 1.5, 1.0), "transmissivity must lie in [0, 1], got 1.5"),
+    ((-0.1, 1.0, 1.0), "transmissivity must lie in [0, 1], got -0.1"),
+    ((1.0, 1.0, np.nan), "transmissivity must lie in [0, 1], got nan"),
+))
+def test_resource_rejects_out_of_range_transmissivity(eta, message):
+    spec = SqueezerSpec.pure(3.0)
+    with pytest.raises(ValueError) as got:
+        build_telecloning_resource(spec, spec, eta)
+    assert type(got.value) is ValueError
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize("squeezed, antisqueezed, error, message", (
+    (-0.1, 1.0, ValueError, "variances must be positive"),
+    (0.0, 1.0, ValueError, "variances must be positive"),
+    (0.01, 1.0, PhysicalityError,  # below the uncertainty product
+     "variance product 1.000e-02 violates the bound 6.250e-02"),
+))
+def test_resource_rejects_bad_squeezer_variances(squeezed, antisqueezed, error, message):
+    # a spec that skipped SqueezerSpec's own checks
+    bad = SimpleNamespace(squeezed_variance=squeezed, antisqueezed_variance=antisqueezed)
+    good = SqueezerSpec.pure(3.0)
+    for spec_i, spec_ii in ((bad, good), (good, bad)):
+        with pytest.raises(error) as got:
+            build_telecloning_resource(spec_i, spec_ii)
+        assert type(got.value) is error
+        assert str(got.value) == message
