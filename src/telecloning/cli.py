@@ -83,8 +83,13 @@ def _run_output(cfg: dict, config: ProtocolConfig, moments: CloneMoments,
 
 
 def _emit(document: dict) -> None:
-    json.dump(document, sys.stdout, indent=2, allow_nan=False)
-    sys.stdout.write("\n")
+    """Write the document in one piece, so a value JSON cannot hold (an
+    overflow to inf, or a NaN) is a numeric error with stdout left empty."""
+    try:
+        text = json.dumps(document, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise FloatingPointError(f"result is not finite: {exc}") from exc
+    sys.stdout.write(text + "\n")
 
 
 def _summary(lines: list[str]) -> None:
@@ -124,7 +129,8 @@ def cmd_sample(args) -> int:
     if args.seed is not None:
         cfg["run.seed"] = args.seed
     config = protocol_config_from(cfg)
-    moments, records = run_monte_carlo(config, sampled=args.sampled)
+    resource = config.build_resource()  # shared by the plan and the criteria
+    moments, records = run_monte_carlo(config, args.sampled, resource)
     if args.csv:
         try:
             with open(args.csv, "w", encoding="utf-8", newline="") as handle:
@@ -136,7 +142,7 @@ def cmd_sample(args) -> int:
                     handle.write("".join(_CSV_ROW % row for row in rows))
         except OSError as exc:
             raise ConfigError(f"cannot write {args.csv}: {exc.strerror or exc}") from exc
-    out = _run_output(cfg, config, moments, "monte-carlo", config.build_resource())
+    out = _run_output(cfg, config, moments, "monte-carlo", resource)
     out["provenance"]["rng"] = RNG_CONTRACT
     _emit(out)
     _summary([

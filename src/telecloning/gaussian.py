@@ -9,12 +9,20 @@ Conventions used throughout the package:
 * a state is physical iff every symplectic eigenvalue of its covariance
   matrix is at least 1/4.
 
+Every linear-optics element is a Gaussian channel ``(X, Y)``: mean -> X mean,
+V -> X V X^T + Y (Weedbrook et al., RMP 84, 621 (2012), sec. II.D). A
+symplectic S is (S, 0); a loss of transmissivity eta on one mode is
+sqrt(eta) on that mode in X and (1 - eta)/4 on that mode in Y. ``compose``
+chains channels into one, so a whole network is applied to a state in one
+step, and ``apply_channel`` returns an exactly symmetric covariance.
+
 All states and matrices are immutable value objects; every operation
 returns a new state.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -167,14 +175,59 @@ def phase_shift(phi: float) -> SymplecticMatrix:
     return SymplecticMatrix(np.array([[c, -s], [s, c]]))
 
 
-def _quadrature_indices(state: GaussianState, modes: Sequence[int]) -> np.ndarray:
+def _quadrature_indices(n_modes: int, modes: Sequence[int]) -> np.ndarray:
     """Interleaved (x, p) indices of the listed modes; checks range and repeats."""
     modes = list(modes)
     if len(set(modes)) != len(modes):
         raise ValueError(f"duplicate modes in {modes}")
-    if any(m < 0 or m >= state.n_modes for m in modes):
-        raise ValueError(f"modes {modes} out of range for {state.n_modes}-mode state")
+    if any(m < 0 or m >= n_modes for m in modes):
+        raise ValueError(f"modes {modes} out of range for {n_modes}-mode state")
     return np.array([2 * m + q for m in modes for q in (0, 1)], dtype=int)
+
+
+Channel = tuple[np.ndarray, np.ndarray]  # (X, Y): V -> X V X^T + Y
+
+
+def symplectic_map(n_modes: int, sym: SymplecticMatrix, modes: Sequence[int]) -> Channel:
+    """Channel (S, 0) of S on the listed modes of n modes, identity on the rest."""
+    idx = _quadrature_indices(n_modes, modes)
+    if 2 * sym.n_modes != idx.size:
+        raise ValueError(
+            f"symplectic acts on {sym.n_modes} modes but {idx.size // 2} were selected"
+        )
+    x = np.eye(2 * n_modes)
+    x[idx[:, None], idx] = sym.entries
+    return x, np.zeros_like(x)
+
+
+def loss_map(n_modes: int, etas: dict[int, float]) -> Channel:
+    """Channel of each listed mode mixing with vacuum at transmissivity
+    ``etas[mode]``: sqrt(eta) in X and (1 - eta)/4 in Y on that mode."""
+    _quadrature_indices(n_modes, etas)
+    x = np.eye(2 * n_modes)
+    y = np.zeros_like(x)
+    for mode, eta in etas.items():
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
+        for i in (2 * mode, 2 * mode + 1):
+            x[i, i], y[i, i] = math.sqrt(eta), (1.0 - eta) * VACUUM_VARIANCE
+    return x, y
+
+
+def compose(*channels: Channel) -> Channel:
+    """One channel that applies ``channels`` in the order given."""
+    x, y = channels[0]
+    for x_next, y_next in channels[1:]:
+        x, y = x_next @ x, x_next @ y @ x_next.T + y_next
+    return x, y
+
+
+def apply_channel(state: GaussianState, channel: Channel) -> GaussianState:
+    """The state after ``channel``; the covariance is symmetrised, so it is
+    exactly symmetric at any scale."""
+    x, y = channel
+    cov = x @ state.cov @ x.T + y
+    return GaussianState(x @ state.mean, 0.5 * (cov + cov.T))
 
 
 def apply_symplectic(state: GaussianState, sym: SymplecticMatrix,
@@ -184,19 +237,12 @@ def apply_symplectic(state: GaussianState, sym: SymplecticMatrix,
     Cross blocks between acted and spectator modes transform consistently
     through the embedded full-size matrix.
     """
-    idx = _quadrature_indices(state, modes)
-    if 2 * sym.n_modes != idx.size:
-        raise ValueError(
-            f"symplectic acts on {sym.n_modes} modes but {idx.size // 2} were selected"
-        )
-    full = np.eye(state.mean.size)
-    full[np.ix_(idx, idx)] = sym.entries
-    return GaussianState(full @ state.mean, full @ state.cov @ full.T)
+    return apply_channel(state, symplectic_map(state.n_modes, sym, modes))
 
 
 def displace(state: GaussianState, mode: int, dx: float, dp: float) -> GaussianState:
     """Shift the mean of one mode by (dx, dp); covariance is untouched."""
-    idx = _quadrature_indices(state, [mode])
+    idx = _quadrature_indices(state.n_modes, [mode])
     mean = state.mean.copy()
     mean[idx] += (dx, dp)
     return GaussianState(mean, state.cov)
@@ -208,14 +254,7 @@ def loss_channel(state: GaussianState, mode: int, eta: float) -> GaussianState:
     Mean scales by sqrt(eta), variances go to eta*v + (1 - eta)/4 and
     cross covariances scale by sqrt(eta).
     """
-    idx = _quadrature_indices(state, [mode])
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
-    scale = np.ones(state.mean.size)
-    scale[idx] = np.sqrt(eta)
-    cov = state.cov * np.outer(scale, scale)
-    cov[idx, idx] += (1.0 - eta) * VACUUM_VARIANCE
-    return GaussianState(state.mean * scale, cov)
+    return apply_channel(state, loss_map(state.n_modes, {mode: eta}))
 
 
 def partial_trace(state: GaussianState, keep: Sequence[int]) -> GaussianState:
@@ -223,7 +262,7 @@ def partial_trace(state: GaussianState, keep: Sequence[int]) -> GaussianState:
     keep = list(keep)
     if not keep:
         raise ValueError("keep list is empty")
-    idx = _quadrature_indices(state, keep)
+    idx = _quadrature_indices(state.n_modes, keep)
     return GaussianState(state.mean[idx], state.cov[np.ix_(idx, idx)])
 
 

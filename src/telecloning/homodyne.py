@@ -31,7 +31,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .gaussian import GaussianState, _quadrature_indices
 
@@ -76,7 +75,7 @@ class HomodyneOutcome:
 
 def marginal(state: GaussianState, sel: QuadratureSelector) -> tuple[float, float]:
     """Mean and variance of the selected quadrature."""
-    _quadrature_indices(state, [sel.mode])
+    _quadrature_indices(state.n_modes, [sel.mode])
     i = sel.index()
     return float(state.mean[i]), float(state.cov[i, i])
 
@@ -87,7 +86,7 @@ def conditional(state: GaussianState, sels: Sequence[QuadratureSelector]
     ``(keep, gain, cov)``, the quadrature indices of the unmeasured modes,
     the gain C_KQ C_QQ^-1 and their outcome-independent covariance."""
     measured = [sel.mode for sel in sels]
-    _quadrature_indices(state, measured)  # range and duplicate check
+    _quadrature_indices(state.n_modes, measured)  # range and duplicate check
     keep = np.array([j for j in range(state.mean.size) if j // 2 not in measured])
     if not keep.size:
         raise ValueError("conditioning drops the measured modes; need at least one more")
@@ -171,6 +170,8 @@ def _to_normal(words):
     midpoint is exact and stays below 1, so every word maps to a finite
     value.
     """
+    from scipy.special import ndtri  # imported here: a slow import only sampling needs
+
     return ndtri(((words >> 12) + 0.5) * 2.0**-52)
 
 

@@ -93,11 +93,13 @@ def fidelity_general(mean, cov, alpha: complex):
 
 
 def fidelity_report(moments: "CloneMoments", alpha: complex) -> FidelityReport:
-    """Per-clone fidelity of a protocol run against its coherent input."""
-    f = [
-        fidelity_general((c.mean_x, c.mean_p), np.diag([c.var_x, c.var_p]), alpha)
-        for c in (moments.clone1, moments.clone2)
-    ]
+    """Per-clone fidelity of a protocol run against its coherent input, from
+    one batched ``fidelity_general`` call (each entry the bits of a lone call)."""
+    clones = (moments.clone1, moments.clone2)
+    cov = np.zeros((2, 2, 2))
+    cov[:, 0, 0] = [c.var_x for c in clones]
+    cov[:, 1, 1] = [c.var_p for c in clones]
+    f = fidelity_general([(c.mean_x, c.mean_p) for c in clones], cov, alpha).tolist()
     return FidelityReport(f[0], f[1])
 
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .metrics import fidelity_unit_gain
 from .protocol import ProtocolConfig, clone_variances
@@ -129,6 +128,8 @@ def fit_params(data: Sequence[tuple[float, float, float]],
     over the data points; the grid search is one over (p_threshold,
     eta_det, point).
     """
+    from scipy import optimize  # imported here: a slow import only fits need
+
     rows = [(float(p), float(s), float(a)) for p, s, a in data]
     if len(rows) < 3:
         raise ValueError("need at least three data points")

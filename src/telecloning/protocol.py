@@ -15,11 +15,15 @@ The same physics is evaluated by three routes that must agree:
     variances.
 
 ``run_circuit_analytic``
-    Propagates the full covariance matrix through the network, conditions
-    on the sender's two measured quadratures (``READOUT``) in one step of
-    ``homodyne.conditional``, and folds the feedforward displacement in
-    exactly: the output covariance is outcome independent and the output
-    mean is the outcome average.
+    Compiles the network into Gaussian channels (X, Y), composed from the
+    generic splitter and loss operators of ``gaussian`` (never from
+    ``clone_variances``): the resource circuit with its losses acts once
+    on the squeezer inputs, and the receiver couplers, the sender's
+    splitter and her detection loss act once on the input and the
+    resource. It conditions on the sender's two measured quadratures
+    (``READOUT``) in one step of ``homodyne.conditional`` and folds the
+    feedforward displacement in exactly: the output covariance is outcome
+    independent and the output mean is the outcome average.
 
 ``run_monte_carlo``
     Samples the two measurement outcomes of every shot from counter-based
@@ -52,11 +56,13 @@ import numpy as np
 
 from .gaussian import (
     GaussianState,
-    apply_symplectic,
+    apply_channel,
     assert_physical,
     beam_splitter_50_50,
     coherent,
-    loss_channel,
+    compose,
+    loss_map,
+    symplectic_map,
     tensor,
     VACUUM_VARIANCE,
 )
@@ -74,6 +80,9 @@ MODE_IN, MODE_A, MODE_B, MODE_C = 0, 1, 2, 3
 
 # the sender's readout of x on u and p on v; her splitter outputs are (v, u)
 READOUT = (QuadratureSelector(1, "x"), QuadratureSelector(0, "p"))
+
+# the sender's balanced splitter as a channel on (in, A, B, C)
+_SENDER_SPLITTER = symplectic_map(4, beam_splitter_50_50(), [MODE_IN, MODE_A])
 
 # shots per Monte Carlo chunk: bounds the temporaries at any shot count;
 # on a 2-core x86 host 2**13 ran the Philox kernel faster than 2**12 or
@@ -249,24 +258,24 @@ def run_analytic(config: ProtocolConfig) -> CloneMoments:
 def circuit_states(config: ProtocolConfig, resource: ResourceState | None = None
                    ) -> dict[str, GaussianState]:
     """Named snapshots of the covariance pipeline, for audits and demos;
-    ``resource`` is ``config.build_resource()``, built here when not given."""
+    ``resource`` is ``config.build_resource()``, built here when not given.
+
+    The receiver couplers act on B and C only, so they commute with
+    everything the sender does and come first; couplers then splitter, and
+    that followed by her detection loss, are each one composed channel
+    applied to the joint state.
+    """
     if resource is None:
         resource = config.build_resource()
     joint = tensor(coherent([config.input_alpha]), resource.state)
-    # the receiver-side coupler acts on B and C only, so it commutes with
-    # everything the sender does; apply it before her beam splitter
-    delivered = joint
-    for mode in (MODE_B, MODE_C):
-        delivered = loss_channel(delivered, mode, config.coupler_t)
-    split = apply_symplectic(delivered, beam_splitter_50_50(), [MODE_IN, MODE_A])
-    detected = split
-    for mode in (0, 1):
-        detected = loss_channel(detected, mode, config.eta_homodyne)
+    t, eta = config.coupler_t, config.eta_homodyne
+    split = compose(loss_map(4, {MODE_B: t, MODE_C: t}), _SENDER_SPLITTER)
+    detect = compose(split, loss_map(4, {0: eta, 1: eta}))
     return {
         "resource": resource.state,
         "joint": joint,
-        "bell_split": split,
-        "detected": detected,
+        "bell_split": apply_channel(joint, split),
+        "detected": apply_channel(joint, detect),
     }
 
 
@@ -295,21 +304,24 @@ def _measurement_plan(config: ProtocolConfig,
     q_idx = np.array([sel.index() for sel in READOUT])
 
     g_x1, g_p1, g_x2, g_p2 = config.gains
-    scale = math.sqrt(2.0) / math.sqrt(config.eta_homodyne)
-    ffwd = np.zeros((4, 2))
-    ffwd[0, 0] = scale * g_x1
-    ffwd[1, 1] = scale * g_p1
-    ffwd[2, 0] = scale * g_x2
-    ffwd[3, 1] = scale * g_p2
+    ffwd = math.sqrt(2.0) / math.sqrt(config.eta_homodyne) * np.array(
+        [[g_x1, 0.0], [0.0, g_p1], [g_x2, 0.0], [0.0, g_p2]])
 
     return _MeasurementPlan(
         base_mean=state.mean[keep],
         mu_q=state.mean[q_idx],
-        sigma_q=state.cov[np.ix_(q_idx, q_idx)],
+        sigma_q=state.cov[q_idx[:, None], q_idx],
         gain_map=gain_map,
         ffwd=ffwd,
         cond_cov=cond_cov,
     )
+
+
+def _require_finite(what: str, *values) -> None:
+    """Raise ``FloatingPointError`` unless every entry is finite: large
+    gains or amplitudes can overflow where the config itself is finite."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise FloatingPointError(f"{what} overflows: a value is not finite")
 
 
 def clone_output_state(config: ProtocolConfig,
@@ -324,6 +336,7 @@ def clone_output_state(config: ProtocolConfig,
     out_mean = plan.base_mean + plan.ffwd @ plan.mu_q
     out_cov = plan.cond_cov + total @ plan.sigma_q @ total.T
     out_cov = 0.5 * (out_cov + out_cov.T)
+    _require_finite("clone output", out_mean, out_cov)
     state = GaussianState(out_mean, out_cov)
     assert_physical(state, context="clone output")
     return state
@@ -393,7 +406,8 @@ def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
-def run_monte_carlo(config: ProtocolConfig, sampled: bool = False
+def run_monte_carlo(config: ProtocolConfig, sampled: bool = False,
+                    resource: ResourceState | None = None
                     ) -> tuple[CloneMoments, ShotRecords]:
     """Monte Carlo simulation of measurement plus feedforward.
 
@@ -401,9 +415,10 @@ def run_monte_carlo(config: ProtocolConfig, sampled: bool = False
     records. With ``sampled=False`` the variance estimate adds the exact
     conditional covariance to the spread of the conditional means; with
     ``sampled=True`` one output quadrature vector is drawn per shot and
-    the moments come from those raw samples.
+    the moments come from those raw samples. ``resource`` as in
+    ``circuit_states``.
     """
-    plan = _measurement_plan(config)
+    plan = _measurement_plan(config, resource)
     assert_physical(GaussianState(plan.base_mean, plan.cond_cov),
                     context="conditioned receiver modes")
     cond_sqrt = _psd_sqrt(plan.cond_cov) if sampled else None
@@ -430,6 +445,9 @@ def run_monte_carlo(config: ProtocolConfig, sampled: bool = False
         se_var = (spread * math.sqrt(2.0 / (n - 1))).tolist()
     else:  # one shot has no spread
         var_hat, se_mean, se_var = cond_var.tolist(), [None] * 4, [None] * 4
+    _require_finite("Monte Carlo clone moments", mean_hat, var_hat)
+    if min(var_hat) <= 0.0:  # equal samples: rounding at large means ate the spread
+        raise FloatingPointError(f"Monte Carlo variance estimate {min(var_hat)} is not positive")
     fields = (mean_hat, var_hat, se_mean, se_var)
 
     def quad(k):

@@ -16,6 +16,7 @@ pump-power curve provides.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +25,13 @@ from .gaussian import (
     MIN_VARIANCE_PRODUCT,
     GaussianState,
     PhysicalityError,
-    SymplecticMatrix,
-    apply_symplectic,
+    apply_channel,
     assert_physical,
     beam_splitter_50_50,
-    loss_channel,
+    compose,
+    loss_map,
     squeezed_vacuum,
+    symplectic_map,
     tensor,
     vacuum,
 )
@@ -104,18 +106,19 @@ class ResourceState:
     spec_ii: SqueezerSpec
 
 
+@functools.cache
 def resource_circuit_matrix() -> np.ndarray:
     """Total symplectic matrix of the resource circuit.
 
     Maps the quadratures of the input modes (i, ii, vacuum) to those of
-    the output modes (A, B, C).
+    the output modes (A, B, C): the first splitter on (i, ii), then the
+    second on its second output and the vacuum. Every call returns the
+    same read-only matrix, composed on the first call.
     """
-    bs = beam_splitter_50_50().entries
-    first = np.eye(6)
-    first[:4, :4] = bs
-    second = np.eye(6)
-    second[2:, 2:] = bs
-    return second @ first
+    bs = beam_splitter_50_50()
+    x, _ = compose(symplectic_map(3, bs, [0, 1]), symplectic_map(3, bs, [1, 2]))
+    x.flags.writeable = False
+    return x
 
 
 def build_telecloning_resource(spec_i: SqueezerSpec, spec_ii: SqueezerSpec,
@@ -126,17 +129,16 @@ def build_telecloning_resource(spec_i: SqueezerSpec, spec_ii: SqueezerSpec,
     Mode i enters antisqueezed in x, mode ii antisqueezed in p. The first
     splitter produces A = (i + ii)/sqrt(2) and an internal mode; the
     second splits the internal mode against a vacuum into B and C; then
-    mode k of (A, B, C) loses 1 - eta[k] to vacuum.
+    mode k of (A, B, C) loses 1 - eta[k] to vacuum. The circuit and the
+    losses are one composed channel, applied once to the product of the
+    inputs.
     """
     mode_i = squeezed_vacuum(spec_i.antisqueezed_variance, spec_i.squeezed_variance)
     mode_ii = squeezed_vacuum(spec_ii.squeezed_variance, spec_ii.antisqueezed_variance)
-    state = tensor(mode_i, mode_ii, vacuum(1))
-    bs = beam_splitter_50_50()
-    state = apply_symplectic(state, bs, [0, 1])
-    state = apply_symplectic(state, bs, [1, 2])
+    circuit = (resource_circuit_matrix(), np.zeros((6, 6)))
     if eta is not None:
-        for mode, t in zip((MODE_A, MODE_B, MODE_C), eta):
-            state = loss_channel(state, mode, t)
+        circuit = compose(circuit, loss_map(3, dict(zip((MODE_A, MODE_B, MODE_C), eta))))
+    state = apply_channel(tensor(mode_i, mode_ii, vacuum(1)), circuit)
     assert_physical(state, context="telecloning resource")
     return ResourceState(state, spec_i, spec_ii)
 

@@ -13,11 +13,16 @@ from telecloning import (
     SymplecticMatrix,
     apply_symplectic,
     beam_splitter_50_50,
+    coherent,
     displace,
+    loss_channel,
     phase_shift,
     squeezed_vacuum,
     tensor,
+    vacuum,
 )
+from telecloning.homodyne import conditional
+from telecloning.protocol import READOUT
 
 
 def random_squeeze(rng) -> SymplecticMatrix:
@@ -147,3 +152,40 @@ def reference_condition_on(state: GaussianState, sel, value: float) -> GaussianS
     cov_k = state.cov[np.ix_(keep, keep)] - np.outer(c, c) / v_q
     cov_k = 0.5 * (cov_k + cov_k.T)
     return GaussianState(mean_k, cov_k)
+
+
+def reference_circuit_states(config) -> dict[str, GaussianState]:
+    """``circuit_states`` as a chain of public one-operation calls: each
+    splitter and each lossy mode applied to the whole state in turn."""
+    bs = beam_splitter_50_50()
+    spec_i, spec_ii = config.spec_i, config.spec_ii
+    state = tensor(squeezed_vacuum(spec_i.antisqueezed_variance, spec_i.squeezed_variance),
+                   squeezed_vacuum(spec_ii.squeezed_variance, spec_ii.antisqueezed_variance),
+                   vacuum(1))
+    state = apply_symplectic(state, bs, [0, 1])
+    state = apply_symplectic(state, bs, [1, 2])
+    for mode, eta in enumerate(config.eta_resource):
+        state = loss_channel(state, mode, eta)
+    joint = tensor(coherent([config.input_alpha]), state)
+    split = joint
+    for mode in (2, 3):  # the receiver couplers on B and C
+        split = loss_channel(split, mode, config.coupler_t)
+    split = apply_symplectic(split, bs, [0, 1])  # the sender's splitter on (in, A)
+    detected = split
+    for mode in (0, 1):
+        detected = loss_channel(detected, mode, config.eta_homodyne)
+    return {"resource": state, "joint": joint, "bell_split": split, "detected": detected}
+
+
+def reference_clone_state(config) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of both clones from ``reference_circuit_states``:
+    the readout of ``READOUT``, then the calibrated feedforward."""
+    detected = reference_circuit_states(config)["detected"]
+    keep, gain, cond = conditional(detected, READOUT)
+    q = [sel.index() for sel in READOUT]
+    g_x1, g_p1, g_x2, g_p2 = config.gains
+    ffwd = math.sqrt(2.0) / math.sqrt(config.eta_homodyne) * np.array(
+        [[g_x1, 0.0], [0.0, g_p1], [g_x2, 0.0], [0.0, g_p2]])
+    total = gain + ffwd
+    mean = detected.mean[keep] + ffwd @ detected.mean[q]
+    return mean, cond + total @ detected.cov[np.ix_(q, q)] @ total.T

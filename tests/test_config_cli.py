@@ -2,6 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -19,7 +22,8 @@ from telecloning.config import (
     serialize_config,
 )
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def run_cli(capsys, *argv):
@@ -334,6 +338,44 @@ def test_sweep_overflow_exits_2_without_output(capsys):
     assert code == 2
     assert out == ""
     assert "numeric error" in err
+
+
+@pytest.mark.parametrize("command, text", (
+    (("sample", "--shots", "50"), "[gains]\ngp2 = 1e160\n"),
+    (("sample", "--shots", "50"), "[gains]\ngp1 = 1e101\n[input]\nalpha_im = 1e253\n"),
+    (("run",), "[gains]\ngx1 = 1e178\n"
+               "[loss]\neta_homodyne = 1e-300\neta_resource_a = 0.0\n"),
+    # raw samples near 2.6e16 are spaced 4 apart, so their spread rounds to 0
+    (("sample", "--shots", "50", "--sampled"),
+     "[input]\nalpha_re = 2.55226156524495e16\n[gains]\ngx1 = 0.0\ngp1 = 0.0\ngp2 = 0.0\n"
+     "[loss]\neta_resource_a = 0.0\neta_resource_b = 0.0\neta_resource_c = 0.0\n"),
+))
+def test_unrepresentable_result_exits_2_without_output(capsys, tmp_path, command, text):
+    path = tmp_path / "numeric.cfg"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numeric error:")
+
+
+def test_run_and_sweep_leave_scipy_unimported():
+    script = (
+        "import contextlib, io, sys\n"
+        "import telecloning.cli\n"
+        "assert 'scipy' not in sys.modules\n"
+        "sweep = ['sweep', sys.argv[1], '--param', 'squeezing_db',\n"
+        "         '--from', '0', '--to', '3', '--steps', '5']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [telecloning.cli.main(['run', sys.argv[1]]), telecloning.cli.main(sweep)]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script, str(CONFIGS / "paper.cfg")],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[0, 0] []\n"
 
 
 def _reference_sweep_rows(cfg: dict, param: str, grid) -> list[tuple]:

@@ -24,7 +24,14 @@ from telecloning import (
     tensor,
     vacuum,
 )
-from telecloning.gaussian import SYMMETRY_TOL, _is_symmetric
+from telecloning.gaussian import (
+    SYMMETRY_TOL,
+    _is_symmetric,
+    apply_channel,
+    compose,
+    loss_map,
+    symplectic_map,
+)
 from helpers import random_state, random_squeeze
 
 
@@ -313,6 +320,27 @@ def test_operations_keep_covariance_symmetric():
     st = displace(st, 1, 0.3, 0.4)
     assert np.allclose(st.cov, st.cov.T, atol=1e-12)
     assert_physical(st)
+
+
+def test_composed_channel_equals_channels_in_turn():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        st = random_state(rng, 3)
+        channels = []
+        for _ in range(3):
+            pair = [int(m) for m in rng.choice(3, size=2, replace=False)]
+            channels += [
+                symplectic_map(3, beam_splitter_50_50(), pair),
+                symplectic_map(3, random_squeeze(rng), [int(rng.integers(3))]),
+                loss_map(3, {m: rng.uniform(0.0, 1.0) for m in pair}),
+            ]
+        in_turn = st
+        for channel in channels:
+            in_turn = apply_channel(in_turn, channel)
+        once = apply_channel(st, compose(*channels))
+        assert np.allclose(once.mean, in_turn.mean, rtol=1e-12, atol=1e-12)
+        assert np.allclose(once.cov, in_turn.cov, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(once.cov, once.cov.T)
 
 
 def test_unphysical_covariance_detected():

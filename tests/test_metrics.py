@@ -124,6 +124,21 @@ def test_unit_gain_fidelity_independent_of_alpha():
     assert values[0] == pytest.approx(2 / 3, abs=1e-9)
 
 
+def test_fidelity_report_equals_lone_calls_bit_for_bit():
+    rng = np.random.default_rng(9)
+    _, _, db = optimal_squeezing()
+    for _ in range(50):
+        spec = SqueezerSpec(db, db + rng.uniform(0.0, 3.0))
+        alpha = complex(*rng.uniform(-5, 5, size=2))
+        m = run_analytic(ProtocolConfig(spec, spec, input_alpha=alpha,
+                                        gains=tuple(rng.uniform(0.5, 1.5, size=4))))
+        report = fidelity_report(m, alpha)
+        lone = [fidelity_general((c.mean_x, c.mean_p), np.diag([c.var_x, c.var_p]), alpha)
+                for c in (m.clone1, m.clone2)]
+        assert (report.f_clone1, report.f_clone2) == tuple(lone)
+        assert all(type(f) is float for f in (report.f_clone1, report.f_clone2))
+
+
 def test_fidelity_bounds_and_uniqueness_of_unity():
     rng = np.random.default_rng(1)
     for _ in range(50):

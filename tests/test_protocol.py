@@ -33,7 +33,7 @@ from telecloning.protocol import (
     _simulate_shots,
 )
 from telecloning.config import load_config, protocol_config_from
-from helpers import random_config
+from helpers import random_config, reference_circuit_states, reference_clone_state
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -396,3 +396,25 @@ def test_pipeline_keeps_the_transmissivity_check():
     for route in (circuit_states, run_circuit_analytic):
         with pytest.raises(ValueError, match=r"^transmissivity must lie in \[0, 1\], got 1\.5$"):
             route(config)
+
+
+def _close(got, want, rel=1e-14):
+    return bool(np.all(np.abs(got - want) <= rel * np.maximum(1.0, np.abs(want))))
+
+
+def test_composed_plan_matches_stepwise_reference():
+    rng = np.random.default_rng(23)
+    configs = [protocol_config_from(load_config(str(CONFIGS / f"{name}.cfg")))
+               for name in ("optimal", "classical", "paper")]
+    configs += [random_config(rng) for _ in range(200)]
+    for config in configs:
+        states = circuit_states(config)
+        reference = reference_circuit_states(config)
+        assert list(states) == list(reference)
+        for name, state in states.items():
+            assert _close(state.mean, reference[name].mean), name
+            assert _close(state.cov, reference[name].cov), name
+            assert np.array_equal(state.cov, state.cov.T), name
+        out = clone_output_state(config)
+        mean, cov = reference_clone_state(config)
+        assert _close(out.mean, mean) and _close(out.cov, cov)
