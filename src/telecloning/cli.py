@@ -267,8 +267,11 @@ _PARSER = build_parser()  # built once per process; parsing leaves it unchanged
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    # every result is checked to be finite before any output, so numpy's
+    # overflow and invalid-value warnings would only precede the error line
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

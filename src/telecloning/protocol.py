@@ -237,7 +237,12 @@ def clone_variances(config: ProtocolConfig, v_x_i, v_p_i, v_x_ii, v_p_ii):
         return var_x, var_p
 
     g_x1, g_p1, g_x2, g_p2 = config.gains
-    return (*one_clone(g_x1, g_p1, eta_b, +1.0), *one_clone(g_x2, g_p2, eta_c, -1.0))
+    try:
+        return (*one_clone(g_x1, g_p1, eta_b, +1.0), *one_clone(g_x2, g_p2, eta_c, -1.0))
+    except OverflowError as exc:  # Python's float ** raises where numpy gives inf
+        raise FloatingPointError(
+            "analytic clone variances overflow: a coefficient squared is out of range"
+        ) from exc
 
 
 def run_analytic(config: ProtocolConfig) -> CloneMoments:

@@ -1,5 +1,7 @@
 """Shared builders for randomized property tests, and per-point references."""
 
+import configparser
+import io
 import math
 
 import numpy as np
@@ -21,6 +23,7 @@ from telecloning import (
     tensor,
     vacuum,
 )
+from telecloning.config import _SCHEMA, ConfigError
 from telecloning.homodyne import conditional
 from telecloning.protocol import READOUT
 
@@ -189,3 +192,45 @@ def reference_clone_state(config) -> tuple[np.ndarray, np.ndarray]:
     total = gain + ffwd
     mean = detected.mean[keep] + ffwd @ detected.mean[q]
     return mean, cond + total @ detected.cov[np.ix_(q, q)] @ total.T
+
+
+# The config file format as first written: the standard library's
+# ConfigParser, then the per-key strict parse. The package's own reader is
+# checked against these; their messages carry no "(line N)" suffix.
+
+def reference_parse_config(text: str) -> dict:
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(f"config parse error: {exc}") from exc
+    cfg = {f"{section}.{key}": default
+           for section, keys in _SCHEMA.items()
+           for key, (_, default) in keys.items()}
+    for section in parser.sections():
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown section [{section}]")
+        for key, raw in parser.items(section):
+            if key not in _SCHEMA[section]:
+                raise ConfigError(f"unknown key '{section}.{key}'")
+            caster, _ = _SCHEMA[section][key]
+            try:
+                value = caster(raw)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"invalid value for '{section}.{key}': {raw!r}") from exc
+            if not math.isfinite(value):
+                raise ConfigError(f"non-finite value for '{section}.{key}': {raw!r}")
+            cfg[f"{section}.{key}"] = value
+    return cfg
+
+
+def reference_serialize_config(cfg: dict) -> str:
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
+    for section, keys in _SCHEMA.items():
+        parser.add_section(section)
+        for key in keys:
+            parser.set(section, key, repr(cfg[f"{section}.{key}"]))
+    out = io.StringIO()
+    parser.write(out)
+    return out.getvalue()

@@ -6,12 +6,19 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import random_config, reference_clones, reference_fidelity, reference_spectra
+from helpers import (
+    random_config,
+    reference_clones,
+    reference_fidelity,
+    reference_serialize_config,
+    reference_spectra,
+)
 from telecloning.cli import main
 from telecloning.config import (
     ConfigError,
@@ -59,6 +66,35 @@ def test_unknown_section_is_named():
 def test_invalid_value_is_reported():
     with pytest.raises(ConfigError, match="squeezing_db"):
         parse_config("[squeezer_i]\nsqueezing_db = not_a_number\n")
+
+
+@pytest.mark.parametrize("text, message", (
+    # the token of the error also appears on an earlier line
+    ("[squeezer_i]\nsqueezing_db = 1\n[squeezer_ii]\nsqueezing_db = bad\n",
+     "invalid value for 'squeezer_ii.squeezing_db': 'bad' (line 4)"),
+    ("[gains]\ngp1 = 1\ngp = 2\n", "unknown key 'gains.gp' (line 3)"),
+    ("[squeezer_i]\nantisqueezing_db = 1\nsqueezing_db = nan\n",
+     "non-finite value for 'squeezer_i.squeezing_db': 'nan' (line 3)"),
+    ("# note\n[run]\nseed = 1\n\n[Mystery]\n", "unknown section [Mystery] (line 5)"),
+))
+def test_config_errors_name_the_line_of_the_entry(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == message
+
+
+def test_serialize_matches_configparser_rendering():
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        cfg = parse_config("")
+        for name in cfg:
+            if name.startswith("run."):
+                cfg[name] = int(rng.integers(-2**62, 2**62))
+            else:
+                cfg[name] = float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300))
+        text = serialize_config(cfg)
+        assert text == reference_serialize_config(cfg)
+        assert parse_config(text) == cfg
 
 
 def test_out_of_range_value_becomes_config_error():
@@ -359,7 +395,37 @@ def test_unrepresentable_result_exits_2_without_output(capsys, tmp_path, command
     assert err.startswith("numeric error:")
 
 
-def test_run_and_sweep_leave_scipy_unimported():
+@pytest.mark.parametrize("argv", (
+    ("run",),
+    ("sweep", "--param", "squeezing_db", "--from", "0", "--to", "3", "--steps", "5"),
+))
+def test_analytic_overflow_names_its_stage(capsys, tmp_path, argv):
+    path = tmp_path / "overflow.cfg"
+    path.write_text("[gains]\ngp2 = 1e160\n")
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numeric error: analytic clone variances overflow")
+
+
+@pytest.mark.parametrize("command, text", (
+    (("run",), "[gains]\ngx1 = 1e178\n"
+               "[loss]\neta_homodyne = 1e-300\neta_resource_a = 0.0\n"),
+    (("sample", "--shots", "10"), "[gains]\ngp2 = 1e160\n"),
+))
+def test_numeric_error_is_the_only_line_on_stderr(capsys, tmp_path, command, text):
+    path = tmp_path / "numeric.cfg"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert [str(w.message) for w in caught] == []
+    assert len(err.splitlines()) == 1 and err.startswith("numeric error:")
+
+
+def test_run_and_sweep_leave_scipy_and_configparser_unimported():
     script = (
         "import contextlib, io, sys\n"
         "import telecloning.cli\n"
@@ -368,6 +434,7 @@ def test_run_and_sweep_leave_scipy_unimported():
         "         '--from', '0', '--to', '3', '--steps', '5']\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [telecloning.cli.main(['run', sys.argv[1]]), telecloning.cli.main(sweep)]\n"
+        "assert 'configparser' not in sys.modules\n"
         "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = dict(os.environ)
