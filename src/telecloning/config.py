@@ -148,7 +148,12 @@ def parse_config(text: str) -> dict:
             except ValueError as exc:
                 raise ConfigError(
                     f"invalid value for '{name}': {raw!r} (line {line})") from exc
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError as exc:  # an integer beyond the float range
+                raise ConfigError(
+                    f"out-of-range value for '{name}': {raw!r} (line {line})") from exc
+            if not finite:
                 raise ConfigError(
                     f"non-finite value for '{name}': {raw!r} (line {line})")
             cfg[name] = value

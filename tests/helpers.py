@@ -3,12 +3,15 @@
 import configparser
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from telecloning import (
     DegenerateVarianceError,
+    FitResult,
     GaussianState,
+    OPOParams,
     ProtocolConfig,
     QuadratureSelector,
     SqueezerSpec,
@@ -25,6 +28,7 @@ from telecloning import (
 )
 from telecloning.config import _SCHEMA, ConfigError
 from telecloning.homodyne import conditional
+from telecloning.opo import _spectra
 from telecloning.protocol import READOUT
 
 
@@ -234,3 +238,41 @@ def reference_serialize_config(cfg: dict) -> str:
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()
+
+
+# The OPO fit as it ran on scipy's bounded search; fit_params, which runs
+# the package's port of that search, must return the same FitResult.
+
+def reference_fit_scipy(data, omega=0.0) -> FitResult:
+    """``fit_params`` as it ran on scipy: the same grid seed and six rounds
+    of coordinate descent, each search by
+    ``scipy.optimize.minimize_scalar(method="bounded")``, with an array
+    objective."""
+    from scipy import optimize
+
+    rows = [(float(p), float(s), float(a)) for p, s, a in data]
+    pumps, s_meas, a_meas = np.array(rows).T
+    p_max = pumps.max()
+    params = OPOParams(p_max, 1.0, omega)
+    omega2 = params.omega**2
+
+    def objective(p_th, eta):
+        x = np.sqrt(pumps / np.asarray(p_th)[..., None])
+        s_db, a_db = _spectra(x, np.asarray(eta)[..., None], omega2)
+        return ((s_db - s_meas) ** 2 + (a_db - a_meas) ** 2).sum(axis=-1)
+
+    p_grid = np.geomspace(p_max * 1.02, p_max * 50.0, 60)
+    eta_grid = np.linspace(0.05, 1.0, 40)
+    scores = objective(p_grid[:, None], eta_grid[None, :])
+    best_p, best_eta = np.unravel_index(np.argmin(scores), scores.shape)
+    p_th, eta = float(p_grid[best_p]), float(eta_grid[best_eta])
+    for _ in range(6):
+        p_th = float(optimize.minimize_scalar(
+            lambda p: objective(p, eta), bounds=(p_max * 1.0001, p_max * 100.0),
+            method="bounded", options={"xatol": 1e-10}).x)
+        eta = float(optimize.minimize_scalar(
+            lambda e: objective(p_th, e), bounds=(1e-6, 1.0), method="bounded",
+            options={"xatol": 1e-12}).x)
+    rss = float(objective(p_th, eta))
+    return FitResult(replace(params, p_threshold_mw=p_th, eta_det=eta), rss,
+                     float(np.sqrt(rss / (2 * len(rows)))), len(rows))

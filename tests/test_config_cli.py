@@ -331,6 +331,18 @@ def test_sample_non_finite_config_exits_1(capsys, tmp_path, text):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize("key", ("shots", "seed"))
+def test_integer_beyond_float_range_exits_1(capsys, tmp_path, key):
+    # math.isfinite raises OverflowError on such an int instead of answering
+    path = tmp_path / "huge.cfg"
+    path.write_text(f"[run]\n{key} = {'9' * 400}\n")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"config error: out-of-range value for 'run.{key}': ")
+    assert err.rstrip().endswith("(line 2)")
+
+
 def test_sample_csv_matches_csv_writer_rendering(capsys, tmp_path):
     from telecloning import run_monte_carlo
     path = tmp_path / "shots.csv"
@@ -443,6 +455,23 @@ def test_run_and_sweep_leave_scipy_and_configparser_unimported():
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[0, 0] []\n"
+
+
+def test_fits_leave_scipy_unimported():
+    script = (
+        "import contextlib, io, runpy, sys\n"
+        "import telecloning\n"
+        "telecloning.fit_params([(10.0, 1.0, 1.5), (20.0, 2.0, 3.0), (30.0, 3.0, 4.5)])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    runpy.run_path(sys.argv[1], run_name='__main__')\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script, str(ROOT / "demos" / "05_pump_power.py")],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def _reference_sweep_rows(cfg: dict, param: str, grid) -> list[tuple]:

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import optimize
 
-from helpers import reference_clones, reference_spectra
+from helpers import reference_clones, reference_fit_scipy, reference_spectra
 from telecloning import (
     OPOParams,
     ProtocolConfig,
@@ -12,6 +14,7 @@ from telecloning import (
     pump_spectra,
     squeezing_spectra,
 )
+from telecloning.opo import _bounded_min
 
 
 def test_params_validation():
@@ -246,3 +249,65 @@ def test_fit_matches_per_point_reference(seed):
     assert fit.params.p_threshold_mw == pytest.approx(p_th, rel=1e-9)
     assert fit.params.eta_det == pytest.approx(eta, rel=1e-9)
     assert fit.sum_squared_residual == pytest.approx(rss, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_fit_equals_scipy_driven_fit(seed):
+    data = _noisy_data(300 + seed, points=3 + seed % 12)
+    omega = 0.4 if seed % 2 else 0.0
+    fit, reference = fit_params(data, omega), reference_fit_scipy(data, omega)
+    assert fit == reference
+    assert repr(fit) == repr(reference)  # Python floats, not numpy scalars
+
+
+def test_fit_with_overflowing_residuals_raises_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="least-squares fit"):
+            fit_params([(10.0, 1e200, 1.5), (20.0, 2.0, 3.0), (30.0, 3.0, 4.5)])
+
+
+def _recording(func, calls):
+    def recorded(x):
+        calls.append(x)
+        return func(x)
+    return recorded
+
+
+def _search_problems(rng):
+    """Seeded (name, func, lo, hi); squares are products, so the value does
+    not depend on whether x arrives as a Python or a numpy float."""
+    lo = rng.uniform(-5.0, 5.0)
+    hi = lo + rng.uniform(0.1, 20.0)
+    c = rng.uniform(lo, hi)
+    k = rng.uniform(0.1, 10.0)
+    d = rng.normal()
+    w = 0.1 * (hi - lo)
+    outside = hi + rng.uniform(0.0, 5.0)
+
+    def flat(x):
+        t = max(abs(x - c) - w, 0.0)
+        return t * t * t * t
+
+    return (
+        ("quadratic", lambda x: k * (x - c) * (x - c) + d, lo, hi),
+        ("quartic", lambda x: (x - c) * (x - c) * (x - c) * (x - c), lo, hi),
+        ("flat-bottomed quartic", flat, lo, hi),
+        ("abs", lambda x: abs(x - c), lo, hi),
+        ("minimum at lo", lambda x: k * x + d, lo, hi),
+        ("minimum at hi", lambda x: d - k * x, lo, hi),
+        ("vertex past hi", lambda x: (x - outside) * (x - outside), lo, hi),
+    )
+
+
+@pytest.mark.parametrize("xatol", (1e-5, 1e-10, 1e-12))
+@pytest.mark.parametrize("seed", range(8))
+def test_bounded_min_equals_scipy_bounded_search(seed, xatol):
+    for name, func, lo, hi in _search_problems(np.random.default_rng(seed)):
+        ported, scipy_calls = [], []
+        x, fun = _bounded_min(_recording(func, ported), lo, hi, xatol)
+        res = optimize.minimize_scalar(_recording(func, scipy_calls),
+                                       bounds=(lo, hi), method="bounded",
+                                       options={"xatol": xatol})
+        assert (x, fun) == (res.x, res.fun), name
+        assert ported == scipy_calls and len(ported) == res.nfev, name
