@@ -275,6 +275,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # a shots or --steps value too large for this machine's memory
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except PhysicalityError as exc:
         print(f"physicality error: {exc}", file=sys.stderr)
         return 2

@@ -278,15 +278,15 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
     return nu[::2].copy()
 
 
-def is_physical(state: GaussianState, tol: float = PHYSICALITY_TOL) -> bool:
-    return bool(symplectic_eigenvalues(state).min() >= VACUUM_VARIANCE - tol)
+def is_physical(state: GaussianState) -> bool:
+    return bool(symplectic_eigenvalues(state).min() >= VACUUM_VARIANCE - PHYSICALITY_TOL)
 
 
-def assert_physical(state: GaussianState, tol: float = PHYSICALITY_TOL,
-                    context: str = "") -> None:
-    """Raise PhysicalityError unless all symplectic eigenvalues are >= 1/4 - tol."""
+def assert_physical(state: GaussianState, context: str = "") -> None:
+    """Raise PhysicalityError unless all symplectic eigenvalues are
+    >= 1/4 - PHYSICALITY_TOL."""
     nu_min = symplectic_eigenvalues(state).min()
-    if nu_min < VACUUM_VARIANCE - tol:
+    if nu_min < VACUUM_VARIANCE - PHYSICALITY_TOL:
         where = f" in {context}" if context else ""
         raise PhysicalityError(
             f"unphysical state{where}: smallest symplectic eigenvalue "

@@ -103,19 +103,16 @@ def fidelity_report(moments: "CloneMoments", alpha: complex) -> FidelityReport:
     return FidelityReport(f[0], f[1])
 
 
-def estimate_gains(moments: "CloneMoments", alpha: complex,
-                   floor: float | None = None) -> GainEstimates:
+def estimate_gains(moments: "CloneMoments", alpha: complex) -> GainEstimates:
     """Ratio of clone mean to input mean per quadrature.
 
-    For estimated moments the default floor is 10 standard errors of the
-    worst clone-mean estimate; an amplitude at or below the floor makes
-    the corresponding gain undefined.
+    For estimated moments the floor is 10 standard errors of the worst
+    clone-mean estimate; an amplitude at or below the floor makes the
+    corresponding gain undefined.
     """
     c1, c2 = moments.clone1, moments.clone2
 
     def axis_floor(se1, se2):
-        if floor is not None:
-            return floor
         return 10.0 * max(se1 or 0.0, se2 or 0.0)
 
     floor_x = axis_floor(c1.se_mean_x, c2.se_mean_x)

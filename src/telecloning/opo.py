@@ -17,12 +17,11 @@ The model is written once, as an elementwise expression:
 array of pumps, and ``fidelity_vs_pump`` and ``fit_params`` run each of
 their grids as one array call.
 
-``fit_params`` minimizes with ``_bounded_min``, Brent's bounded
-golden-section/parabolic search (R. P. Brent, *Algorithms for
-Minimization without Derivatives*, 1973, ch. 5) ported line for line
-from scipy's ``minimize_scalar(method="bounded")``, so fits give the same
-bits without importing ``scipy.optimize``; the tests keep scipy as the
-oracle for the port.
+``fit_params`` solves the bounded least-squares problem with one
+Levenberg–Marquardt loop (D. W. Marquardt, SIAM J. Appl. Math. 11, 431
+(1963)) on the closed-form Jacobian ``_spectra_jacobian``, without
+importing ``scipy.optimize``; the tests keep scipy's ``least_squares`` as
+the oracle for the optimum.
 """
 
 from __future__ import annotations
@@ -72,6 +71,24 @@ def _spectra(x, eta_det, omega2):
     v_plus = (low + 4.0 * x * eta_det) / low
     # + 0.0 turns the -0.0 of a zero pump into 0.0
     return -10.0 * np.log10(v_minus) + 0.0, 10.0 * np.log10(v_plus)
+
+
+_DB_PER_NEPER = 10.0 / math.log(10.0)
+
+
+def _spectra_jacobian(x, eta_det, omega2):
+    """Derivatives of ``_spectra`` with the same terms, elementwise:
+    (d squeezing_db/dx, d antisqueezing_db/dx, d squeezing_db/d eta_det,
+    d antisqueezing_db/d eta_det)."""
+    down, up = 1.0 - x, 1.0 + x
+    low = down * down + omega2
+    high = up * up + omega2
+    minus = low + 4.0 * x * (1.0 - eta_det)  # numerator of v_minus
+    plus = low + 4.0 * x * eta_det  # numerator of v_plus
+    return (_DB_PER_NEPER * ((2.0 * down - 4.0 * (1.0 - eta_det)) / minus + 2.0 * up / high),
+            _DB_PER_NEPER * ((4.0 * eta_det - 2.0 * down) / plus + 2.0 * down / low),
+            _DB_PER_NEPER * 4.0 * x / minus,
+            _DB_PER_NEPER * 4.0 * x / plus)
 
 
 def pump_spectra(params: OPOParams, p_pump_mw):
@@ -125,88 +142,9 @@ class FitResult:
     n_points: int
 
 
-_SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
-_MAXFUN = 500
-
-
-def _bounded_min(func, lo, hi, xatol):
-    """``(x, func(x))`` at a local minimum of ``func`` on [lo, hi].
-
-    A line-by-line port of scipy's ``_minimize_scalar_bounded`` (Brent's
-    method): the same golden and parabolic steps, tolerances and float
-    operations in the same order, so it visits the same points and
-    returns the same ``x`` and ``fun`` as ``minimize_scalar(func,
-    bounds=(lo, hi), method="bounded", options={"xatol": xatol})``. It
-    stops after ``_MAXFUN`` evaluations. The bounds are finite with
-    lo <= hi.
-    """
-    a, b = lo, hi
-    fulc = a + _GOLDEN_MEAN * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm - xf >= 0.0 else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = _GOLDEN_MEAN * e
-
-        # scipy's np.sign(v) + (v == 0): +1 at zero; rat is never nan here
-        si = 1.0 if rat >= 0.0 else -1.0
-        x = xf + si * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _MAXFUN:
-            break
-    return xf, fx
+# bounds of the fit in (p_threshold / max pump, eta_det)
+_LOWER = np.array([1.0001, 1e-6])
+_UPPER = np.array([100.0, 1.0])
 
 
 def fit_params(data: Sequence[tuple[float, float, float]],
@@ -214,18 +152,13 @@ def fit_params(data: Sequence[tuple[float, float, float]],
     """Least-squares (p_threshold, eta_det) from measured noise levels.
 
     ``data`` rows are (p_pump_mw, squeezing_db, antisqueezing_db). A
-    coarse grid search seeds coordinate descent on the two parameters at
-    the fixed analysis frequency: six rounds of one bounded search in
-    p_threshold and one in eta_det, each by ``_bounded_min``, the port of
-    scipy's bounded Brent search. Each objective is one array expression
-    over the data points; the grid search is one over (p_threshold,
-    eta_det, point).
-
-    The six rounds stop short of the least-squares optimum: polished by
-    ``scipy.optimize.least_squares(method="lm")``, seeded noisy 12-point
-    sets move by up to about 1e-4 relative in p_threshold_mw, 2e-4 in
-    eta_det and 6e-4 in the sum of squared residuals (worst of 480 sets;
-    6e-5, 1.7e-4 and 5e-4 on 120 of them).
+    coarse grid search, one array expression over (p_threshold, eta_det,
+    point), seeds a bounded Levenberg–Marquardt solve of the 2n dB
+    residuals at the fixed analysis frequency, in t = p_threshold / max
+    pump within [1.0001, 100] and eta_det within [1e-6, 1]. A parameter
+    at a bound that the gradient pushes outward takes no step, and a step
+    across a bound is clipped to it. The loop stops when a step no longer
+    moves the parameters, or after 200 trial steps.
 
     Raises ``FloatingPointError`` when the sum of squared residuals at
     the result is not finite, as with dB levels beyond about 1e154.
@@ -246,30 +179,56 @@ def fit_params(data: Sequence[tuple[float, float, float]],
         raise ValueError("need at least one positive pump power")
     params = OPOParams(p_max, 1.0, omega)  # rejects a bad omega up front
     omega2 = params.omega**2
+    # in the ratio the scale of the pumps drops out, down to subnormal ones
+    ratio = pumps / p_max
+    measured = np.concatenate([s_meas, a_meas])
 
-    def objective(p_th, eta):
-        """Sum of squared dB residuals; p_th and eta broadcast against the
-        point axis, which is last."""
-        s_db, a_db = _spectra(np.sqrt(pumps / p_th), eta, omega2)
-        return ((s_db - s_meas) ** 2 + (a_db - a_meas) ** 2).sum(axis=-1)
+    def residuals(t, eta):
+        """The 2n dB residuals on the last axis; t and eta broadcast."""
+        return np.concatenate(_spectra(np.sqrt(ratio / t), eta, omega2), axis=-1) - measured
 
-    # overflow in the residuals shows as a non-finite result, checked below
+    # overflow in the residuals shows as a non-finite result, checked below;
+    # the 2x2 solve is written out, so a singular system (a flat model) or
+    # a non-finite gradient ends the loop with a NaN step, not an exception
     with np.errstate(all="ignore"):
-        p_grid = np.geomspace(p_max * 1.02, p_max * 50.0, 60)
+        t_grid = np.geomspace(1.02, 50.0, 60)
         eta_grid = np.linspace(0.05, 1.0, 40)
-        # argmin keeps the first of equal scores in p-major order
-        scores = objective(p_grid[:, None, None], eta_grid[None, :, None])
-        best_p, best_eta = np.unravel_index(np.argmin(scores), scores.shape)
-        p_th, eta = float(p_grid[best_p]), float(eta_grid[best_eta])
-
-        # Python floats in and out of the searches, so their steps and the
-        # fitted parameters are Python floats, never numpy scalars
-        p_lo, p_hi = p_max * 1.0001, p_max * 100.0
-        for _ in range(6):
-            p_th = _bounded_min(lambda p: float(objective(p, eta)), p_lo, p_hi, 1e-10)[0]
-            eta = _bounded_min(lambda e: float(objective(p_th, e)), 1e-6, 1.0, 1e-12)[0]
-
-        rss = float(objective(p_th, eta))
+        scores = (residuals(t_grid[:, None, None], eta_grid[None, :, None]) ** 2).sum(axis=-1)
+        # argmin keeps the first of equal scores in t-major order
+        best_t, best_eta = np.unravel_index(np.argmin(scores), scores.shape)
+        theta = np.array([t_grid[best_t], eta_grid[best_eta]])
+        r = residuals(*theta)
+        rss = r @ r
+        damping, moved = 1e-3, True
+        for _ in range(200):
+            if moved:
+                x = np.sqrt(ratio / theta[0])
+                ds_dx, da_dx, ds_deta, da_deta = _spectra_jacobian(x, theta[1], omega2)
+                dx_dt = -0.5 * x / theta[0]
+                # rows: the residuals' derivatives by t and by eta_det
+                jac_t = np.array([np.concatenate([ds_dx * dx_dt, da_dx * dx_dt]),
+                                  np.concatenate([ds_deta, da_deta])])
+                grad = jac_t @ r
+                held = (((theta == _LOWER) & (grad > 0.0))
+                        | ((theta == _UPPER) & (grad < 0.0)))
+                grad[held] = 0.0
+                jac_t[held] = 0.0
+                normal = jac_t @ jac_t.T
+            # a held parameter's row is 0 with 1 on the diagonal: no step
+            (a, b), (_, d) = normal + np.diag(damping * np.diag(normal) + held)
+            step = np.array([b * grad[1] - d * grad[0], b * grad[0] - a * grad[1]])
+            trial = np.clip(theta + step / (a * d - b * b), _LOWER, _UPPER)
+            if np.array_equal(trial, theta) or np.isnan(trial).any():
+                break
+            r_trial = residuals(*trial)
+            rss_trial = r_trial @ r_trial
+            moved = rss_trial < rss
+            if moved:
+                theta, r, rss = trial, r_trial, rss_trial
+                damping *= 0.1
+            else:
+                damping *= 10.0
+        p_th, eta, rss = float(theta[0] * p_max), float(theta[1]), float(rss)
     if not math.isfinite(rss):
         raise FloatingPointError(
             f"least-squares fit: the sum of squared residuals is {rss} at "

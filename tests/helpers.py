@@ -240,14 +240,15 @@ def reference_serialize_config(cfg: dict) -> str:
     return out.getvalue()
 
 
-# The OPO fit as it ran on scipy's bounded search; fit_params, which runs
-# the package's port of that search, must return the same FitResult.
+# The OPO fit as it ran on scipy's bounded search, and the bounded
+# least-squares optimum from scipy. fit_params must reach the optimum and
+# never a higher sum of squared residuals than the old fit.
 
 def reference_fit_scipy(data, omega=0.0) -> FitResult:
-    """``fit_params`` as it ran on scipy: the same grid seed and six rounds
-    of coordinate descent, each search by
+    """``fit_params`` as it ran on scipy: a grid seed and six rounds of
+    coordinate descent, each search by
     ``scipy.optimize.minimize_scalar(method="bounded")``, with an array
-    objective."""
+    objective. The rounds stop short of the least-squares optimum."""
     from scipy import optimize
 
     rows = [(float(p), float(s), float(a)) for p, s, a in data]
@@ -276,3 +277,29 @@ def reference_fit_scipy(data, omega=0.0) -> FitResult:
     rss = float(objective(p_th, eta))
     return FitResult(replace(params, p_threshold_mw=p_th, eta_det=eta), rss,
                      float(np.sqrt(rss / (2 * len(rows)))), len(rows))
+
+
+def reference_optimum(data, omega, start):
+    """The bounded least-squares optimum by ``scipy.optimize.least_squares``
+    on per-point ``reference_spectra`` residuals, from ``start`` =
+    (p_threshold_mw, eta_det). Works in p_threshold / max pump, as the fit
+    does, under the fit's bounds, with finite-difference derivatives and
+    tolerances at the rounding level. Returns the solution's (p_threshold_mw,
+    eta_det, sum of squared residuals, active_mask)."""
+    from scipy import optimize
+
+    p_max = max(row[0] for row in data)
+
+    def residuals(theta):
+        params = OPOParams(theta[0] * p_max, theta[1], omega)
+        out = []
+        for p, s_db, a_db in data:
+            squeezing_db, antisqueezing_db = reference_spectra(params, p)
+            out += [squeezing_db - s_db, antisqueezing_db - a_db]
+        return out
+
+    sol = optimize.least_squares(
+        residuals, [start[0] / p_max, start[1]], jac="3-point",
+        bounds=([1.0001, 1e-6], [100.0, 1.0]), x_scale="jac",
+        ftol=1e-15, xtol=1e-15, gtol=1e-15, max_nfev=2000)
+    return sol.x[0] * p_max, sol.x[1], 2.0 * sol.cost, sol.active_mask

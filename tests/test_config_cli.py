@@ -389,6 +389,23 @@ def test_sweep_overflow_exits_2_without_output(capsys):
 
 
 @pytest.mark.parametrize("command, text", (
+    (("sample",), f"[run]\nshots = {10**13}\n"),
+    (("sweep", "--param", "squeezing_db", "--from", "0", "--to", "3",
+      "--steps", str(10**14)), ""),
+))
+def test_unallocatable_size_exits_1_without_output(capsys, tmp_path, command, text):
+    # 437 TiB of shot records and a 728 TiB grid both exceed the 2**47 bytes
+    # a process can map by default, so the allocation fails before any page
+    # is touched, whatever the overcommit setting
+    path = tmp_path / "huge.cfg"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("config error: out of memory")
+
+
+@pytest.mark.parametrize("command, text", (
     (("sample", "--shots", "50"), "[gains]\ngp2 = 1e160\n"),
     (("sample", "--shots", "50"), "[gains]\ngp1 = 1e101\n[input]\nalpha_im = 1e253\n"),
     (("run",), "[gains]\ngx1 = 1e178\n"
