@@ -39,7 +39,7 @@ res = build_telecloning_resource(SqueezerSpec.pure(opt_db),
                                  SqueezerSpec.pure(opt_db))
 print("\nsingle-mode variances at the optimum (vacuum = 0.25):")
 for label, mode in (("A", 0), ("B", 1), ("C", 2)):
-    single = partial_trace(res.state, [mode])
+    single = partial_trace(res, [mode])
     print(f"  mode {label}: Var(x) = {single.cov[0, 0]:.4f}, "
           f"Var(p) = {single.cov[1, 1]:.4f}")
 

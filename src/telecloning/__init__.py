@@ -30,7 +30,6 @@ from .gaussian import (
 )
 from .homodyne import (
     DegenerateVarianceError,
-    HomodyneOutcome,
     QuadratureSelector,
     condition_on,
     marginal,
@@ -39,7 +38,6 @@ from .homodyne import (
     shot_stream,
 )
 from .resource import (
-    ResourceState,
     SqueezerSpec,
     bipartite_criterion_lhs,
     build_telecloning_resource,

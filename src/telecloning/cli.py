@@ -34,7 +34,6 @@ from .protocol import (
     run_monte_carlo,
 )
 from .resource import (
-    ResourceState,
     bipartite_criterion_lhs,
     clone_pair_criterion_lhs,
     optimal_squeezing,
@@ -48,11 +47,11 @@ _SWEEP_ROW = ",".join([_FLOAT_FMT] * 6) + "\n"
 _CSV_BLOCK_ROWS = 1 << 13
 
 
-def _criteria_dict(resource: ResourceState) -> dict:
+def _criteria_dict(config: ProtocolConfig) -> dict:
     return {
-        "a_b": bipartite_criterion_lhs(resource, "B"),
-        "a_c": bipartite_criterion_lhs(resource, "C"),
-        "b_c": clone_pair_criterion_lhs(resource),
+        "a_b": bipartite_criterion_lhs(config.resource, "B"),
+        "a_c": bipartite_criterion_lhs(config.resource, "C"),
+        "b_c": clone_pair_criterion_lhs(config.resource),
     }
 
 
@@ -64,14 +63,14 @@ def _gains_dict(moments: CloneMoments, alpha: complex) -> dict | None:
 
 
 def _run_output(cfg: dict, config: ProtocolConfig, moments: CloneMoments,
-                mode: str, resource: ResourceState) -> dict:
+                mode: str) -> dict:
     # the result dataclasses hold plain values: their field dicts are the JSON
     return {
         "config": cfg,
         "clone_moments": {"clone1": dict(vars(moments.clone1)),
                           "clone2": dict(vars(moments.clone2))},
         "fidelity": dict(vars(fidelity_report(moments, config.input_alpha))),
-        "criteria": _criteria_dict(resource),
+        "criteria": _criteria_dict(config),
         "gains": _gains_dict(moments, config.input_alpha),
         "provenance": {
             "seed": config.seed,
@@ -101,8 +100,7 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     config = protocol_config_from(cfg)
     direct = run_analytic(config)
-    resource = config.build_resource()  # shared by the circuit route and the criteria
-    circuit = run_circuit_analytic(config, resource)
+    circuit = run_circuit_analytic(config)
     worst = max(
         abs(getattr(getattr(direct, c), f) - getattr(getattr(circuit, c), f))
         for c in ("clone1", "clone2")
@@ -111,7 +109,7 @@ def cmd_run(args) -> int:
     if worst > PATH_AGREEMENT_TOL:
         print(f"error: analytic paths disagree by {worst:.3e}", file=sys.stderr)
         return 2
-    out = _run_output(cfg, config, circuit, "analytic", resource)
+    out = _run_output(cfg, config, circuit, "analytic")
     out["provenance"]["path_agreement"] = worst
     _emit(out)
     _summary([
@@ -129,8 +127,7 @@ def cmd_sample(args) -> int:
     if args.seed is not None:
         cfg["run.seed"] = args.seed
     config = protocol_config_from(cfg)
-    resource = config.build_resource()  # shared by the plan and the criteria
-    moments, records = run_monte_carlo(config, args.sampled, resource)
+    moments, records = run_monte_carlo(config, args.sampled)
     if args.csv:
         try:
             with open(args.csv, "w", encoding="utf-8", newline="") as handle:
@@ -142,7 +139,7 @@ def cmd_sample(args) -> int:
                     handle.write("".join(_CSV_ROW % row for row in rows))
         except OSError as exc:
             raise ConfigError(f"cannot write {args.csv}: {exc.strerror or exc}") from exc
-    out = _run_output(cfg, config, moments, "monte-carlo", resource)
+    out = _run_output(cfg, config, moments, "monte-carlo")
     out["provenance"]["rng"] = RNG_CONTRACT
     _emit(out)
     _summary([
@@ -200,6 +197,9 @@ def cmd_sweep(args) -> int:
                 if exc.__class__ is ValueError:
                     raise ConfigError(f"--param {args.param}: {exc}") from exc
                 raise  # physicality and linear-algebra errors keep their type
+    # a huge gain overflows the Python-float coefficients to inf silently
+    if not np.isfinite(columns).all():
+        raise FloatingPointError("sweep result is not finite")
 
     sys.stdout.write("param_value,squeezing_db,antisqueezing_db,"
                      "var_x_clone,var_p_clone,fidelity\n")
@@ -216,7 +216,7 @@ def cmd_criteria(args) -> int:
     r_star, e_minus_2r, db = optimal_squeezing()
     out = {
         "config": cfg,
-        "criteria": _criteria_dict(config.build_resource()),
+        "criteria": _criteria_dict(config),
         "optimal_squeezing": {"r_star": r_star, "e_minus_2r": e_minus_2r, "db": db},
     }
     _emit(out)

@@ -65,7 +65,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Mean vector and covariance matrix of an n-mode Gaussian state."""
+    """Mean vector and covariance matrix of an n-mode state; read-only entries."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -79,6 +79,8 @@ class GaussianState:
             raise ValueError(f"cov shape {cov.shape} does not match mean length {mean.size}")
         if not _is_symmetric(cov):
             raise ValueError("covariance matrix is not symmetric")
+        mean.setflags(write=False)
+        cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 

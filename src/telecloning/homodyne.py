@@ -67,12 +67,6 @@ class QuadratureSelector:
         return 2 * self.mode + (0 if self.which == "x" else 1)
 
 
-@dataclass(frozen=True)
-class HomodyneOutcome:
-    value: float
-    selector: QuadratureSelector
-
-
 def marginal(state: GaussianState, sel: QuadratureSelector) -> tuple[float, float]:
     """Mean and variance of the selected quadrature."""
     _quadrature_indices(state.n_modes, [sel.mode])
@@ -113,15 +107,15 @@ def condition_on(state: GaussianState, sel: QuadratureSelector,
 
 
 def sample_homodyne(state: GaussianState, sel: QuadratureSelector,
-                    rng) -> tuple[HomodyneOutcome, GaussianState]:
-    """Draw an outcome from the marginal and return the conditioned state.
+                    rng) -> tuple[float, GaussianState]:
+    """Draw an outcome from the marginal: ``(value, conditioned state)``.
 
     ``rng`` is anything with ``normal(loc, scale)``: a numpy ``Generator``
     or a ``shot_stream``.
     """
     m, v = marginal(state, sel)
     value = float(rng.normal(m, np.sqrt(v)))
-    return HomodyneOutcome(value, sel), condition_on(state, sel, value)
+    return value, condition_on(state, sel, value)
 
 
 def _mulhilo(a, m):

@@ -50,8 +50,9 @@ class OPOParams:
             raise ValueError("threshold pump power must be positive and finite")
         if not 0.0 <= self.eta_det <= 1.0:
             raise ValueError("detection efficiency must lie in [0, 1]")
-        if not (math.isfinite(self.omega) and self.omega >= 0.0):
-            raise ValueError("analysis frequency must be finite and >= 0")
+        if not (math.isfinite(self.omega * self.omega) and self.omega >= 0.0):
+            raise ValueError("analysis frequency must be >= 0 with a finite square "
+                             f"(the model reads omega**2), got {self.omega}")
 
 
 def _spectra(x, eta_det, omega2):

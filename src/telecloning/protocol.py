@@ -47,6 +47,7 @@ the displacement.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from collections.abc import Sequence
@@ -73,7 +74,7 @@ from .homodyne import (
     shot_normals,
     shot_stream,  # re-exported: draws shot j's normals one at a time
 )
-from .resource import ResourceState, SqueezerSpec, build_telecloning_resource
+from .resource import SqueezerSpec, build_telecloning_resource
 
 # mode layout of the joint state before the sender's beam splitter
 MODE_IN, MODE_A, MODE_B, MODE_C = 0, 1, 2, 3
@@ -124,8 +125,10 @@ class ProtocolConfig:
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
 
-    def build_resource(self) -> ResourceState:
-        """The (A, B, C) resource of this experiment, with its losses."""
+    @functools.cached_property
+    def resource(self) -> GaussianState:
+        """The shared (A, B, C) resource with its losses, built on first use
+        and kept; not a field, so ``==``, ``hash`` and ``replace`` ignore it."""
         return build_telecloning_resource(self.spec_i, self.spec_ii, self.eta_resource)
 
 
@@ -260,24 +263,20 @@ def run_analytic(config: ProtocolConfig) -> CloneMoments:
     )
 
 
-def circuit_states(config: ProtocolConfig, resource: ResourceState | None = None
-                   ) -> dict[str, GaussianState]:
-    """Named snapshots of the covariance pipeline, for audits and demos;
-    ``resource`` is ``config.build_resource()``, built here when not given.
+def circuit_states(config: ProtocolConfig) -> dict[str, GaussianState]:
+    """Named snapshots of the covariance pipeline, for audits and demos.
 
     The receiver couplers act on B and C only, so they commute with
     everything the sender does and come first; couplers then splitter, and
     that followed by her detection loss, are each one composed channel
     applied to the joint state.
     """
-    if resource is None:
-        resource = config.build_resource()
-    joint = tensor(coherent([config.input_alpha]), resource.state)
+    joint = tensor(coherent([config.input_alpha]), config.resource)
     t, eta = config.coupler_t, config.eta_homodyne
     split = compose(loss_map(4, {MODE_B: t, MODE_C: t}), _SENDER_SPLITTER)
     detect = compose(split, loss_map(4, {0: eta, 1: eta}))
     return {
-        "resource": resource.state,
+        "resource": config.resource,
         "joint": joint,
         "bell_split": apply_channel(joint, split),
         "detected": apply_channel(joint, detect),
@@ -302,9 +301,8 @@ class _MeasurementPlan:
     cond_cov: np.ndarray    # (4,4) outcome-independent conditional covariance
 
 
-def _measurement_plan(config: ProtocolConfig,
-                      resource: ResourceState | None = None) -> _MeasurementPlan:
-    state = circuit_states(config, resource)["detected"]
+def _measurement_plan(config: ProtocolConfig) -> _MeasurementPlan:
+    state = circuit_states(config)["detected"]
     keep, gain_map, cond_cov = conditional(state, READOUT)
     q_idx = np.array([sel.index() for sel in READOUT])
 
@@ -329,14 +327,13 @@ def _require_finite(what: str, *values) -> None:
         raise FloatingPointError(f"{what} overflows: a value is not finite")
 
 
-def clone_output_state(config: ProtocolConfig,
-                       resource: ResourceState | None = None) -> GaussianState:
+def clone_output_state(config: ProtocolConfig) -> GaussianState:
     """Two-mode Gaussian state of the clones after feedforward.
 
     This is the ensemble state averaged over measurement outcomes; for a
-    fixed outcome only the mean differs. ``resource`` as in ``circuit_states``.
+    fixed outcome only the mean differs.
     """
-    plan = _measurement_plan(config, resource)
+    plan = _measurement_plan(config)
     total = plan.gain_map + plan.ffwd
     out_mean = plan.base_mean + plan.ffwd @ plan.mu_q
     out_cov = plan.cond_cov + total @ plan.sigma_q @ total.T
@@ -347,11 +344,9 @@ def clone_output_state(config: ProtocolConfig,
     return state
 
 
-def run_circuit_analytic(config: ProtocolConfig,
-                         resource: ResourceState | None = None) -> CloneMoments:
-    """Clone moments from the covariance-matrix pipeline; ``resource`` as
-    in ``circuit_states``."""
-    out = clone_output_state(config, resource)
+def run_circuit_analytic(config: ProtocolConfig) -> CloneMoments:
+    """Clone moments from the covariance-matrix pipeline."""
+    out = clone_output_state(config)
     m, c = out.mean, out.cov
     return CloneMoments(
         QuadratureMoments(float(m[0]), float(m[1]), float(c[0, 0]), float(c[1, 1])),
@@ -411,8 +406,7 @@ def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
-def run_monte_carlo(config: ProtocolConfig, sampled: bool = False,
-                    resource: ResourceState | None = None
+def run_monte_carlo(config: ProtocolConfig, sampled: bool = False
                     ) -> tuple[CloneMoments, ShotRecords]:
     """Monte Carlo simulation of measurement plus feedforward.
 
@@ -420,10 +414,9 @@ def run_monte_carlo(config: ProtocolConfig, sampled: bool = False,
     records. With ``sampled=False`` the variance estimate adds the exact
     conditional covariance to the spread of the conditional means; with
     ``sampled=True`` one output quadrature vector is drawn per shot and
-    the moments come from those raw samples. ``resource`` as in
-    ``circuit_states``.
+    the moments come from those raw samples.
     """
-    plan = _measurement_plan(config, resource)
+    plan = _measurement_plan(config)
     assert_physical(GaussianState(plan.base_mean, plan.cond_cov),
                     context="conditioned receiver modes")
     cond_sqrt = _psd_sqrt(plan.cond_cov) if sampled else None

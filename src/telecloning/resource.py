@@ -97,15 +97,6 @@ def squeezer_variances(squeezing_db, antisqueezing_db):
     return v_sq, v_anti
 
 
-@dataclass(frozen=True)
-class ResourceState:
-    """Three-mode entangled state (A, B, C) plus the specs that made it."""
-
-    state: GaussianState
-    spec_i: SqueezerSpec
-    spec_ii: SqueezerSpec
-
-
 @functools.cache
 def resource_circuit_matrix() -> np.ndarray:
     """Total symplectic matrix of the resource circuit.
@@ -122,9 +113,9 @@ def resource_circuit_matrix() -> np.ndarray:
 
 
 def build_telecloning_resource(spec_i: SqueezerSpec, spec_ii: SqueezerSpec,
-                               eta: tuple[float, float, float] | None = None
-                               ) -> ResourceState:
-    """Build the (A, B, C) resource, optionally with per-mode loss.
+                               eta: tuple[float, float, float] = (1.0, 1.0, 1.0)
+                               ) -> GaussianState:
+    """The (A, B, C) resource with per-mode transmissivities ``eta``.
 
     Mode i enters antisqueezed in x, mode ii antisqueezed in p. The first
     splitter produces A = (i + ii)/sqrt(2) and an internal mode; the
@@ -135,12 +126,11 @@ def build_telecloning_resource(spec_i: SqueezerSpec, spec_ii: SqueezerSpec,
     """
     mode_i = squeezed_vacuum(spec_i.antisqueezed_variance, spec_i.squeezed_variance)
     mode_ii = squeezed_vacuum(spec_ii.squeezed_variance, spec_ii.antisqueezed_variance)
-    circuit = (resource_circuit_matrix(), np.zeros((6, 6)))
-    if eta is not None:
-        circuit = compose(circuit, loss_map(3, dict(zip((MODE_A, MODE_B, MODE_C), eta))))
+    circuit = compose((resource_circuit_matrix(), np.zeros((6, 6))),
+                      loss_map(3, dict(zip((MODE_A, MODE_B, MODE_C), eta))))
     state = apply_channel(tensor(mode_i, mode_ii, vacuum(1)), circuit)
     assert_physical(state, context="telecloning resource")
-    return ResourceState(state, spec_i, spec_ii)
+    return state
 
 
 def _pair_lhs(state: GaussianState, first: int, second: int) -> float:
@@ -153,7 +143,7 @@ def _pair_lhs(state: GaussianState, first: int, second: int) -> float:
     return float(var_x + var_p)
 
 
-def bipartite_criterion_lhs(resource: ResourceState, partner: str = "B") -> float:
+def bipartite_criterion_lhs(resource: GaussianState, partner: str = "B") -> float:
     """Left-hand side of the bipartite inseparability criterion for A-partner.
 
     A value below 1 certifies entanglement between mode A and the chosen
@@ -162,16 +152,16 @@ def bipartite_criterion_lhs(resource: ResourceState, partner: str = "B") -> floa
     mode = {"B": MODE_B, "C": MODE_C}.get(partner.upper())
     if mode is None:
         raise ValueError(f"partner must be 'B' or 'C', got {partner!r}")
-    return _pair_lhs(resource.state, MODE_A, mode)
+    return _pair_lhs(resource, MODE_A, mode)
 
 
-def clone_pair_criterion_lhs(resource: ResourceState) -> float:
+def clone_pair_criterion_lhs(resource: GaussianState) -> float:
     """The same combination evaluated for the receiver pair (B, C).
 
     Reported as a diagnostic only; no separability classification of the
     reduced B-C pair is implied.
     """
-    return _pair_lhs(resource.state, MODE_B, MODE_C)
+    return _pair_lhs(resource, MODE_B, MODE_C)
 
 
 def optimal_squeezing() -> tuple[float, float, float]:

@@ -388,6 +388,36 @@ def test_sweep_overflow_exits_2_without_output(capsys):
     assert "numeric error" in err
 
 
+def test_sweep_pump_with_overflowing_omega_exits_1(capsys, tmp_path):
+    cfg = tmp_path / "omega.cfg"
+    cfg.write_text("[opo]\nomega = 1e200\n")
+    code, out, err = run_cli(capsys, "sweep", str(cfg), "--param", "pump_mw",
+                             "--from", "0", "--to", "90", "--steps", "5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("config error: analysis frequency")
+
+
+@pytest.mark.parametrize("command", (
+    ("run",), ("criteria",), ("sample", "--shots", "64"),
+    ("sample", "--shots", "64", "--sampled"),
+))
+def test_each_command_builds_one_resource(capsys, monkeypatch, command):
+    import telecloning.protocol
+
+    built = []
+    real = telecloning.protocol.build_telecloning_resource
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(telecloning.protocol, "build_telecloning_resource", counting)
+    code, _, _ = run_cli(capsys, command[0], str(CONFIGS / "paper.cfg"), *command[1:])
+    assert code == 0
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("command, text", (
     (("sample",), f"[run]\nshots = {10**13}\n"),
     (("sweep", "--param", "squeezing_db", "--from", "0", "--to", "3",
@@ -414,6 +444,9 @@ def test_unallocatable_size_exits_1_without_output(capsys, tmp_path, command, te
     (("sample", "--shots", "50", "--sampled"),
      "[input]\nalpha_re = 2.55226156524495e16\n[gains]\ngx1 = 0.0\ngp1 = 0.0\ngp2 = 0.0\n"
      "[loss]\neta_resource_a = 0.0\neta_resource_b = 0.0\neta_resource_c = 0.0\n"),
+    # the gain squared is finite, the analytic clone variance overflows to inf
+    (("sweep", "--param", "squeezing_db", "--from", "0", "--to", "12", "--steps", "9"),
+     "[gains]\ngp1 = 1e154\n[loss]\neta_resource_a = 0.0\neta_homodyne = 0.5\n"),
 ))
 def test_unrepresentable_result_exits_2_without_output(capsys, tmp_path, command, text):
     path = tmp_path / "numeric.cfg"

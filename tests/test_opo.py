@@ -130,10 +130,17 @@ def test_fit_rejects_duplicate_pump_values():
     {"p_threshold_mw": float("inf")},
     {"p_threshold_mw": 100.0, "omega": float("nan")},
     {"p_threshold_mw": 100.0, "omega": float("inf")},
+    {"p_threshold_mw": 100.0, "omega": 1e200},  # finite, but its square is not
 ))
 def test_params_reject_non_finite(kwargs):
     with pytest.raises(ValueError):
         OPOParams(**kwargs)
+
+
+def test_fit_names_an_overflowing_omega():
+    with pytest.raises(ValueError, match="analysis frequency") as got:
+        fit_params(_noisy_data(3), omega=1e200)
+    assert type(got.value) is ValueError
 
 
 def _noisy_data(seed, points=12):

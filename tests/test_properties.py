@@ -4,6 +4,7 @@ config ``parse_config`` accepts."""
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import tempfile
@@ -32,8 +33,8 @@ def _typical_or_any(low: float, high: float):
 def config_texts(draw) -> str:
     """Valid configs out to the edges of their domains (any finite gain and
     amplitude, squeezing up to where the variances overflow, transmissivities
-    down to the smallest float); half of them then get one key set to any
-    value of its type, in or out of its range."""
+    down to the smallest float, any OPO model); half of them then get one
+    key set to any value of its type, in or out of its range."""
     values = {}
     for squeezer in ("squeezer_i", "squeezer_ii"):
         squeezing = draw(st.one_of(st.floats(0.0, 15.0), st.floats(0.0, 4000.0)))
@@ -49,6 +50,9 @@ def config_texts(draw) -> str:
         values[key] = draw(st.floats(0.0, 1.0, exclude_min=True))
     values["run.shots"] = draw(st.integers(1, 10**6))
     values["run.seed"] = draw(st.integers(-2**70, 2**70))
+    values["opo.p_threshold_mw"] = draw(_typical_or_any(1.0, 1000.0))
+    values["opo.eta_det"] = draw(_typical_or_any(0.0, 1.0))
+    values["opo.omega"] = draw(_typical_or_any(0.0, 10.0))
     if draw(st.booleans()):
         key = draw(st.sampled_from(sorted(values)))
         values[key] = draw(st.integers() if key.startswith("run.") else _ANY)
@@ -69,16 +73,23 @@ def config_path(tmp_path_factory):
 @given(text=config_texts())
 def test_every_accepted_config_exits_0_1_or_2(config_path, text):
     config_path.write_text(text)
+    sweep = ["--from", "0", "--to", "12", "--steps", "9"]
     for argv in (["run", str(config_path)],
                  ["sample", str(config_path), "--shots", "50"],
                  ["sample", str(config_path), "--shots", "50", "--sampled"],
-                 ["criteria", str(config_path)]):
+                 ["criteria", str(config_path)],
+                 ["sweep", str(config_path), "--param", "squeezing_db", *sweep],
+                 ["sweep", str(config_path), "--param", "pump_mw", *sweep]):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         assert code in (0, 1, 2), (argv, text)
         if code:
             assert out.getvalue() == "", (argv, text)
+        elif argv[0] == "sweep":
+            header, *rows = out.getvalue().splitlines()
+            values = [float(v) for row in rows for v in row.split(",")]
+            assert len(rows) == 9 and all(map(math.isfinite, values)), (argv, text)
         else:
             json.loads(out.getvalue())
 

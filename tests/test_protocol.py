@@ -234,10 +234,10 @@ def test_monte_carlo_agrees_with_measurement_operations():
         rng = shot_stream(config.seed, j)
         out_x, st = sample_homodyne(detected, QuadratureSelector(1, "x"), rng)
         out_p, st = sample_homodyne(st, QuadratureSelector(0, "p"), rng)
-        st = displace(st, 0, scale * gx1 * out_x.value, scale * gp1 * out_p.value)
-        st = displace(st, 1, scale * gx2 * out_x.value, scale * gp2 * out_p.value)
-        assert rec.x_u == pytest.approx(out_x.value, abs=1e-12)
-        assert rec.p_v == pytest.approx(out_p.value, abs=1e-12)
+        st = displace(st, 0, scale * gx1 * out_x, scale * gp1 * out_p)
+        st = displace(st, 1, scale * gx2 * out_x, scale * gp2 * out_p)
+        assert rec.x_u == pytest.approx(out_x, abs=1e-12)
+        assert rec.p_v == pytest.approx(out_p, abs=1e-12)
         assert np.allclose([rec.x1, rec.p1, rec.x2, rec.p2], st.mean, atol=1e-10)
 
 
@@ -366,28 +366,22 @@ def test_shot_records_sequence():
         records[5]
 
 
-def _pipeline_configs():
-    rng = np.random.default_rng(20241)
-    bundled = [protocol_config_from(load_config(str(CONFIGS / f"{name}.cfg")))
-               for name in ("paper", "optimal", "classical")]
-    return bundled + [random_config(rng) for _ in range(200)]
-
-
-def test_shared_resource_gives_bit_identical_pipeline():
-    for config in _pipeline_configs():
-        resource = config.build_resource()
-        own = circuit_states(config)
-        shared = circuit_states(config, resource)
-        assert list(shared) == ["resource", "joint", "bell_split", "detected"]
-        assert shared["resource"] is resource.state
-        for name, state in own.items():
-            assert np.array_equal(state.mean, shared[name].mean), name
-            assert np.array_equal(state.cov, shared[name].cov), name
-        plan, shared_plan = _measurement_plan(config), _measurement_plan(config, resource)
-        for field in dataclasses.fields(plan):
-            assert np.array_equal(getattr(plan, field.name),
-                                  getattr(shared_plan, field.name)), field.name
-        assert run_circuit_analytic(config, resource) == run_circuit_analytic(config)
+def test_config_keeps_one_read_only_resource():
+    config = optimal_config()
+    states = circuit_states(config)
+    assert list(states) == ["resource", "joint", "bell_split", "detected"]
+    assert states["resource"] is config.resource
+    assert circuit_states(config)["resource"] is config.resource
+    with pytest.raises(ValueError, match="read-only"):
+        config.resource.cov[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        config.resource.mean[0] = 1.0
+    # not a field: equality, hashing and replace see the fields only
+    copy = dataclasses.replace(config)
+    assert copy == config and hash(copy) == hash(config)
+    assert np.array_equal(copy.resource.cov, config.resource.cov)
+    lossy = dataclasses.replace(config, eta_resource=(0.9, 0.9, 0.9))
+    assert not np.array_equal(lossy.resource.cov, config.resource.cov)
 
 
 def test_pipeline_keeps_the_transmissivity_check():

@@ -63,8 +63,8 @@ def test_spec_rejects_non_finite_db(levels):
 
 def test_zero_squeezing_gives_uncorrelated_vacua():
     res = build_telecloning_resource(SqueezerSpec.pure(0), SqueezerSpec.pure(0))
-    assert np.allclose(res.state.cov, 0.25 * np.eye(6), atol=1e-14)
-    assert np.allclose(res.state.mean, 0.0)
+    assert np.allclose(res.cov, 0.25 * np.eye(6), atol=1e-14)
+    assert np.allclose(res.mean, 0.0)
 
 
 def test_circuit_coefficients_match_mode_expansion():
@@ -91,8 +91,8 @@ def test_circuit_coefficients_match_mode_expansion():
 def test_sender_mode_variance_at_optimal_squeezing():
     _, _, db = optimal_squeezing()
     res = build_telecloning_resource(SqueezerSpec.pure(db), SqueezerSpec.pure(db))
-    assert res.state.cov[1, 1] == pytest.approx(0.75, abs=1e-12)  # Var(p_A)
-    assert res.state.cov[0, 0] == pytest.approx(0.75, abs=1e-12)  # Var(x_A)
+    assert res.cov[1, 1] == pytest.approx(0.75, abs=1e-12)  # Var(p_A)
+    assert res.cov[0, 0] == pytest.approx(0.75, abs=1e-12)  # Var(x_A)
 
 
 def test_criterion_boundary_at_zero_squeezing():
@@ -132,8 +132,8 @@ def test_receiver_exchange_symmetry_of_covariance():
     res = build_telecloning_resource(SqueezerSpec(5, 6), SqueezerSpec(4, 7))
     swap = np.arange(6)
     swap[[2, 3, 4, 5]] = [4, 5, 2, 3]
-    swapped = res.state.cov[np.ix_(swap, swap)]
-    assert np.allclose(swapped, res.state.cov, atol=1e-12)
+    swapped = res.cov[np.ix_(swap, swap)]
+    assert np.allclose(swapped, res.cov, atol=1e-12)
 
 
 def test_optimal_squeezing_closed_form():
@@ -182,7 +182,7 @@ def test_clone_pair_value_reported_at_optimum():
 def test_reduced_modes_are_thermal_with_excess_noise():
     res = build_telecloning_resource(SqueezerSpec.pure(6), SqueezerSpec.pure(6))
     for mode in range(3):
-        single = partial_trace(res.state, [mode])
+        single = partial_trace(res, [mode])
         assert np.all(np.diag(single.cov) > 0.25 + 1e-6)
         assert symplectic_eigenvalues(single)[0] > 0.25 + 1e-6
 
@@ -192,8 +192,8 @@ def test_lossy_resource_stays_physical_and_symmetric():
                                      eta=(0.95, 0.9, 0.9))
     swap = np.arange(6)
     swap[[2, 3, 4, 5]] = [4, 5, 2, 3]
-    assert np.allclose(res.state.cov[np.ix_(swap, swap)], res.state.cov, atol=1e-12)
-    assert symplectic_eigenvalues(res.state).min() >= 0.25 - 1e-9
+    assert np.allclose(res.cov[np.ix_(swap, swap)], res.cov, atol=1e-12)
+    assert symplectic_eigenvalues(res).min() >= 0.25 - 1e-9
 
 
 def test_squeezer_variances_apply_spec_checks_elementwise():
