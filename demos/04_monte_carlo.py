@@ -3,7 +3,7 @@
 Each trial samples the two readout outcomes, conditions the receiver
 modes, and applies the displacements. Estimates converge to the analytic
 moments as 1/sqrt(shots); a fixed seed reproduces every shot exactly
-because shot j draws from its own counter-based stream.
+because shot j draws from its own words of a counter-based generator.
 """
 
 import numpy as np

@@ -16,13 +16,13 @@ Detector inefficiency is modeled upstream by a loss channel on the mode
 before the ideal measurement.
 
 Sampling is reproducible and counter based (Salmon et al., SC'11,
-"Parallel random numbers: as easy as 1, 2, 3"). Draw k of Monte Carlo
-shot j is raw word k of Philox4x64-10 keyed by (seed mod 2**64, j),
-mapped to a standard normal by the inverse normal CDF (``RNG_CONTRACT``).
-``shot_normals`` computes those draws for a whole range of shots at once
-as numpy arrays; ``shot_stream(seed, j)`` hands out the same draws of one
-shot one at a time, from numpy's own Philox. Shot j therefore depends
-only on (seed, j), never on how many shots run or in what order.
+"Parallel random numbers: as easy as 1, 2, 3"). numpy's Philox4x64-10 is
+keyed by seed mod 2**64 and shot j owns the 8 raw words at counter 2j
+(two 4-word blocks); draw k of the shot is word k, mapped to a standard
+normal by the inverse normal CDF (``RNG_CONTRACT``). ``shot_normals``
+reads a whole range of shots in one call; ``shot_stream(seed, j)`` hands
+out the draws of one shot one at a time. A shot has 8 draws, so shot j
+depends only on (seed, j), never on how many shots run or in what order.
 """
 
 from __future__ import annotations
@@ -38,14 +38,10 @@ DEGENERATE_VARIANCE_TOL = 1e-12
 
 # version of the (seed, shot, draw) -> value map; change it whenever any
 # per-shot value changes
-RNG_CONTRACT = "philox4x64-10/ndtri52/v2"
+RNG_CONTRACT = "philox4x64-10/ctr2j/ndtri52/v3"
 
-# Philox4x64 round multipliers and Weyl key increments
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
-_PHILOX_ROUNDS = 10
-_LO32 = np.uint64(0xFFFFFFFF)
-_HALF = np.uint64(32)
+# raw words (draws) per Monte Carlo shot: two Philox4x64 blocks
+_WORDS_PER_SHOT = 8
 
 
 class DegenerateVarianceError(ValueError):
@@ -118,44 +114,6 @@ def sample_homodyne(state: GaussianState, sel: QuadratureSelector,
     return value, condition_on(state, sel, value)
 
 
-def _mulhilo(a, m):
-    """High and low 64-bit words of the 128-bit product a * m.
-
-    The high word is assembled from 32-bit halves; the caller silences
-    the (intended) wrap-around of the uint64 products.
-    """
-    a_lo, a_hi = a & _LO32, a >> _HALF
-    m_lo, m_hi = m & _LO32, m >> _HALF
-    lo_lo, hi_lo, lo_hi = a_lo * m_lo, a_hi * m_lo, a_lo * m_hi
-    carry = ((lo_lo >> _HALF) + (hi_lo & _LO32) + (lo_hi & _LO32)) >> _HALF
-    return a_hi * m_hi + (hi_lo >> _HALF) + (lo_hi >> _HALF) + carry, a * m
-
-
-def _philox_words(seed: int, shots: np.ndarray, n_words: int) -> np.ndarray:
-    """Raw words 0..n_words-1 of Philox4x64-10 keyed by (seed, j), per shot j.
-
-    Returns shape (n_words, len(shots)); column i equals
-    ``np.random.Philox(key=[seed % 2**64, shots[i]]).random_raw(n_words)``.
-    """
-    n_blocks = -(-n_words // 4)
-    words = np.empty((4 * n_blocks, shots.size), dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for b in range(n_blocks):
-            # numpy increments the counter before it generates a block, so
-            # block b has counter (b + 1, 0, 0, 0); the scalars broadcast
-            # to arrays once the per-shot key word mixes in
-            x0, x1, x2, x3 = np.uint64(b + 1), np.uint64(0), np.uint64(0), np.uint64(0)
-            k0, k1 = np.uint64(seed % 2**64), shots
-            for r in range(_PHILOX_ROUNDS):
-                if r:
-                    k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-                hi0, lo0 = _mulhilo(x0, _PHILOX_M[0])
-                hi1, lo1 = _mulhilo(x2, _PHILOX_M[1])
-                x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-            words[4 * b:4 * b + 4] = x0, x1, x2, x3
-    return words[:n_words]
-
-
 def _to_normal(words):
     """Standard normals from raw 64-bit words (Python ints or uint64 arrays).
 
@@ -177,28 +135,30 @@ def shot_normals(seed: int, first_shot: int, n_shots: int, draws: int) -> np.nda
     """
     if first_shot < 0 or n_shots < 0 or first_shot + n_shots > 2**64:
         raise ValueError("shot indices must lie in [0, 2**64)")
-    shots = np.uint64(first_shot) + np.arange(n_shots, dtype=np.uint64)
-    return _to_normal(_philox_words(seed, shots, draws)).T
+    if not 0 <= draws <= _WORDS_PER_SHOT:
+        raise ValueError(f"a shot has {_WORDS_PER_SHOT} draws, asked for {draws}")
+    bits = np.random.Philox(key=seed % 2**64, counter=2 * first_shot)
+    words = bits.random_raw(_WORDS_PER_SHOT * n_shots).reshape(n_shots, _WORDS_PER_SHOT)
+    return _to_normal(words[:, :draws])
 
 
 class _ShotStream:
     """The draws of one shot in order, one ``normal`` call per draw."""
 
-    def __init__(self, key: np.ndarray):
-        self._next_word = np.random.Philox(key=key).random_raw
+    def __init__(self, normals: np.ndarray):
+        self._normals = iter(normals)
 
     def normal(self, loc=0.0, scale=1.0):
-        return loc + scale * _to_normal(self._next_word())
+        z = next(self._normals, None)
+        if z is None:
+            raise ValueError(f"a shot has only {_WORDS_PER_SHOT} draws")
+        return loc + scale * z
 
 
 def shot_stream(seed: int, shot_index: int) -> _ShotStream:
-    """Independent deterministic stream for one Monte Carlo shot.
+    """Deterministic stream of the draws of one Monte Carlo shot.
 
-    Streams are keyed by (seed, shot index) in a counter-based generator,
-    so shot j draws the same numbers no matter how many shots run or in
-    what order. Draw k equals ``shot_normals(seed, j, 1, k + 1)[0, k]``.
+    Draw k equals ``shot_normals(seed, j, 1, k + 1)[0, k]``, so shot j
+    draws the same numbers no matter how many shots run or in what order.
     """
-    if shot_index < 0:
-        raise ValueError("shot index must be non-negative")
-    key = np.array([seed % 2**64, shot_index], dtype=np.uint64)
-    return _ShotStream(key)
+    return _ShotStream(shot_normals(seed, shot_index, 1, _WORDS_PER_SHOT)[0])

@@ -26,9 +26,9 @@ The same physics is evaluated by three routes that must agree:
     independent and the output mean is the outcome average.
 
 ``run_monte_carlo``
-    Samples the two measurement outcomes of every shot from counter-based
-    draws keyed by (seed, shot), applies the same displacements, and
-    estimates moments. Shots are computed as numpy arrays in fixed-size
+    Samples the two measurement outcomes of every shot from the
+    counter-based draws that shot owns under the seed, applies the same
+    displacements, and estimates moments. Shots are computed as numpy arrays in fixed-size
     chunks, each output an elementwise expression of the shot's own
     draws, so shot j is bit-identical however the shots are batched. The
     clone variance combines the spread of the per-shot conditional means
@@ -86,8 +86,8 @@ READOUT = (QuadratureSelector(1, "x"), QuadratureSelector(0, "p"))
 _SENDER_SPLITTER = symplectic_map(4, beam_splitter_50_50(), [MODE_IN, MODE_A])
 
 # shots per Monte Carlo chunk: bounds the temporaries at any shot count;
-# on a 2-core x86 host 2**13 ran the Philox kernel faster than 2**12 or
-# 2**14..2**16 (its working set stays in cache)
+# 1e5-shot runs on a 2-core x86 host timed flat from 2**12 to 2**14 shots
+# per chunk and slower at 2**16, and 2**13 sits in that flat range
 _CHUNK_SHOTS = 1 << 13
 
 
@@ -253,6 +253,7 @@ def run_analytic(config: ProtocolConfig) -> CloneMoments:
     var_x1, var_p1, var_x2, var_p2 = clone_variances(
         config, config.spec_i.antisqueezed_variance, config.spec_i.squeezed_variance,
         config.spec_ii.squeezed_variance, config.spec_ii.antisqueezed_variance)
+    _require_finite("analytic clone variances", [var_x1, var_p1, var_x2, var_p2])
     alpha = config.input_alpha
     g_x1, g_p1, g_x2, g_p2 = config.gains
     return CloneMoments(

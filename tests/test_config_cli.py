@@ -349,7 +349,7 @@ def test_sample_csv_matches_csv_writer_rendering(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "sample", str(CONFIGS / "paper.cfg"),
                            "--shots", "300", "--seed", "77", "--csv", str(path))
     assert code == 0
-    assert json.loads(out)["provenance"]["rng"] == "philox4x64-10/ndtri52/v2"
+    assert json.loads(out)["provenance"]["rng"] == "philox4x64-10/ctr2j/ndtri52/v3"
     cfg = load_config(str(CONFIGS / "paper.cfg"))
     cfg["run.shots"], cfg["run.seed"] = 300, 77
     _, records = run_monte_carlo(protocol_config_from(cfg))
@@ -468,6 +468,21 @@ def test_analytic_overflow_names_its_stage(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("numeric error: analytic clone variances overflow")
+
+
+def test_analytic_inf_is_a_numeric_error_not_a_path_disagreement(capsys, tmp_path):
+    # the direct expansion's var_p1 overflows to inf; the circuit route stays finite
+    path = tmp_path / "overflow.cfg"
+    path.write_text("[gains]\ngx1 = 0\ngp1 = 7.741001517595157e+153\ngx2 = 0\ngp2 = 0\n"
+                    "[loss]\neta_resource_a = 0\neta_resource_b = 0\neta_resource_c = 0\n"
+                    "eta_homodyne = 0.5\n")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, out) == (2, "")
+    assert err == "numeric error: analytic clone variances overflows: a value is not finite\n"
+    code, out, err = run_cli(capsys, "sweep", str(path), "--param", "squeezing_db",
+                             "--from", "0", "--to", "10", "--steps", "3")
+    assert (code, out) == (2, "")
+    assert err == "numeric error: sweep result is not finite\n"
 
 
 @pytest.mark.parametrize("command, text", (

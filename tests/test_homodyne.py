@@ -19,7 +19,7 @@ from telecloning import (
     tensor,
     vacuum,
 )
-from telecloning.homodyne import _philox_words, _to_normal, conditional
+from telecloning.homodyne import _to_normal, conditional
 from helpers import random_selector, random_state, reference_condition_on
 
 X0 = QuadratureSelector(0, "x")
@@ -221,29 +221,29 @@ def test_law_of_total_expectation():
     assert np.all(np.abs(conditioned.mean(axis=0) - prior) < 5 * spread / np.sqrt(n) + 1e-12)
 
 
-# seeds beyond int64 and shot indices on either side of 2**32 exercise the
-# carries between the 32-bit halves of the Philox multiply and key bumps
+# seeds beyond int64 reduce mod 2**64 into the key; shot 2**63 puts its
+# counter 2j past the low 64-bit word of numpy's 256-bit counter
 PHILOX_SEEDS = (0, -17, 2**63 + 5, 2**64 - 1)
 PHILOX_SHOTS = (0, 1, 2**32 - 1, 2**32, 2**63)
 
 
-@pytest.mark.parametrize("draws", (4, 8), ids=("one-block", "two-blocks"))
+@pytest.mark.parametrize("draws", (2, 6, 8),
+                         ids=("one-block", "part-of-two-blocks", "two-blocks"))
 def test_shot_normals_match_numpy_philox(draws):
     for seed in PHILOX_SEEDS:
         for j in PHILOX_SHOTS:
-            key = np.array([seed % 2**64, j], dtype=np.uint64)
-            ref = np.random.Philox(key=key).random_raw(draws)
-            words = _philox_words(seed, np.array([j], dtype=np.uint64), draws)
-            assert np.array_equal(words[:, 0], ref), (seed, j)
-            expect = ndtri(((ref >> 12) + 0.5) * 2.0**-52)
-            assert np.array_equal(shot_normals(seed, j, 1, draws)[0], expect)
+            ref = np.random.Philox(key=seed % 2**64, counter=2 * j).random_raw(8)
+            expect = ndtri(((ref[:draws] >> 12) + 0.5) * 2.0**-52)
+            assert np.array_equal(shot_normals(seed, j, 1, draws)[0], expect), (seed, j)
 
 
 def test_shot_normals_batch_equals_single_shots():
-    batch = shot_normals(-17, 2**32 - 3, 6, 6)
-    assert batch.shape == (6, 6)
-    for i in range(6):
-        assert np.array_equal(batch[i], shot_normals(-17, 2**32 - 3 + i, 1, 6)[0])
+    # the counters of shots 2**63 - 1 .. 2**63 + 1 lie on both sides of 2**64
+    for seed, first, n_shots, draws in ((-17, 2**32 - 3, 6, 6), (5, 2**63 - 1, 3, 8)):
+        batch = shot_normals(seed, first, n_shots, draws)
+        assert batch.shape == (n_shots, draws)
+        for i in range(n_shots):
+            assert np.array_equal(batch[i], shot_normals(seed, first + i, 1, draws)[0])
 
 
 def test_extreme_words_map_to_finite_normals():
@@ -259,6 +259,18 @@ def test_shot_normals_rejects_out_of_range_shots():
         shot_normals(1, -1, 2, 2)
     with pytest.raises(ValueError):
         shot_normals(1, 2**64 - 1, 2, 2)
+    with pytest.raises(ValueError):
+        shot_stream(1, 2**64)
+
+
+def test_a_shot_has_eight_draws():
+    with pytest.raises(ValueError):
+        shot_normals(3, 0, 1, 9)
+    stream = shot_stream(3, 0)
+    for _ in range(8):
+        stream.normal()
+    with pytest.raises(ValueError):
+        stream.normal()
 
 
 def test_shot_stream_draws_equal_shot_normals():
