@@ -8,9 +8,9 @@ a short human-readable summary goes to stderr. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -81,11 +81,36 @@ def _run_output(cfg: dict, config: ProtocolConfig, moments: CloneMoments,
     }
 
 
+def _json_text(document: dict, pad: str = "") -> str:
+    """``json.dumps(document, indent=2, allow_nan=False)`` for a dict of str
+    keys and float, dict, str, None, bool or int values, without json's
+    pure-Python encoder: the same layout, json's own string escaper,
+    ``float.__repr__``, and json's message for a non-finite float."""
+    if not document:
+        return "{}"
+    inner, items = pad + "  ", []
+    for key, value in document.items():
+        if isinstance(value, float):  # most values: tested first
+            if not math.isfinite(value):
+                raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+            text = float.__repr__(value)
+        elif isinstance(value, dict):
+            text = _json_text(value, inner)
+        elif isinstance(value, str):
+            text = _json_string(value)
+        elif value is None or value is True or value is False:
+            text = "null" if value is None else "true" if value else "false"
+        else:  # an int; any other type raises TypeError
+            text = int.__repr__(value)
+        items.append(f"{_json_string(key)}: {text}")
+    return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+
+
 def _emit(document: dict) -> None:
-    """Write the document in one piece, so a value JSON cannot hold (an
+    """Write ``_json_text`` in one piece, so a value JSON cannot hold (an
     overflow to inf, or a NaN) is a numeric error with stdout left empty."""
     try:
-        text = json.dumps(document, indent=2, allow_nan=False)
+        text = _json_text(document)
     except ValueError as exc:
         raise FloatingPointError(f"result is not finite: {exc}") from exc
     sys.stdout.write(text + "\n")

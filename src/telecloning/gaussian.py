@@ -14,7 +14,8 @@ V -> X V X^T + Y (Weedbrook et al., RMP 84, 621 (2012), sec. II.D). A
 symplectic S is (S, 0); a loss of transmissivity eta on one mode is
 sqrt(eta) on that mode in X and (1 - eta)/4 on that mode in Y. ``compose``
 chains channels into one, so a whole network is applied to a state in one
-step, and ``apply_channel`` returns an exactly symmetric covariance.
+step, and ``apply_channel`` (``channel_moments`` on plain arrays) returns
+an exactly symmetric covariance.
 
 All states and matrices are immutable value objects; every operation
 returns a new state.
@@ -129,18 +130,20 @@ def coherent(alphas: Sequence[complex]) -> GaussianState:
     return GaussianState(mean, VACUUM_VARIANCE * np.eye(mean.size))
 
 
-def squeezed_vacuum(v_x: float, v_p: float) -> GaussianState:
-    """Single zero-mean mode with quadrature variances (v_x, v_p).
-
-    The pair must respect the uncertainty product v_x * v_p >= 1/16;
-    unequal dB magnitudes give an impure (thermal squeezed) state.
-    """
+def check_variance_pair(v_x: float, v_p: float) -> None:
+    """Raise unless v_x, v_p > 0 and the uncertainty product v_x * v_p >= 1/16."""
     if v_x <= 0.0 or v_p <= 0.0:
         raise ValueError("variances must be positive")
     if v_x * v_p < MIN_VARIANCE_PRODUCT:
         raise PhysicalityError(
             f"variance product {v_x * v_p:.3e} violates the bound {VACUUM_VARIANCE**2:.3e}"
         )
+
+
+def squeezed_vacuum(v_x: float, v_p: float) -> GaussianState:
+    """Single zero-mean mode with quadrature variances (v_x, v_p); unequal
+    dB magnitudes give an impure (thermal squeezed) state."""
+    check_variance_pair(v_x, v_p)
     return GaussianState(np.zeros(2), np.diag([v_x, v_p]))
 
 
@@ -224,12 +227,17 @@ def compose(*channels: Channel) -> Channel:
     return x, y
 
 
-def apply_channel(state: GaussianState, channel: Channel) -> GaussianState:
-    """The state after ``channel``; the covariance is symmetrised, so it is
-    exactly symmetric at any scale."""
+def channel_moments(channel: Channel, mean: np.ndarray, cov: np.ndarray) -> tuple:
+    """Mean and covariance after ``channel``, as plain arrays; the
+    covariance is symmetrised, so it is exactly symmetric at any scale."""
     x, y = channel
-    cov = x @ state.cov @ x.T + y
-    return GaussianState(x @ state.mean, 0.5 * (cov + cov.T))
+    cov = x @ cov @ x.T + y
+    return x @ mean, 0.5 * (cov + cov.T)
+
+
+def apply_channel(state: GaussianState, channel: Channel) -> GaussianState:
+    """The state after ``channel``: ``channel_moments`` of its arrays."""
+    return GaussianState(*channel_moments(channel, state.mean, state.cov))
 
 
 def apply_symplectic(state: GaussianState, sym: SymplecticMatrix,

@@ -15,15 +15,15 @@ The same physics is evaluated by three routes that must agree:
     variances.
 
 ``run_circuit_analytic``
-    Compiles the network into Gaussian channels (X, Y), composed from the
-    generic splitter and loss operators of ``gaussian`` (never from
-    ``clone_variances``): the resource circuit with its losses acts once
-    on the squeezer inputs, and the receiver couplers, the sender's
-    splitter and her detection loss act once on the input and the
-    resource. It conditions on the sender's two measured quadratures
-    (``READOUT``) in one step of ``homodyne.conditional`` and folds the
-    feedforward displacement in exactly: the output covariance is outcome
-    independent and the output mean is the outcome average.
+    Compiles the network into Gaussian channels (X, Y) from the generic
+    splitter and loss operators of ``gaussian`` (never from
+    ``clone_variances``), applied to plain (mean, cov) arrays: the resource
+    circuit with its losses once to the squeezer inputs, and the couplers,
+    the sender's splitter and her detection loss once to the input and the
+    resource. Only the resource, the detected state that one step of
+    ``homodyne.conditional`` conditions on (``READOUT``) and the clone
+    output are ``GaussianState`` objects. The feedforward folds in exactly:
+    an outcome-independent covariance and the outcome average as mean.
 
 ``run_monte_carlo``
     Samples the two measurement outcomes of every shot from the
@@ -60,11 +60,10 @@ from .gaussian import (
     apply_channel,
     assert_physical,
     beam_splitter_50_50,
-    coherent,
+    channel_moments,
     compose,
     loss_map,
     symplectic_map,
-    tensor,
     VACUUM_VARIANCE,
 )
 from .homodyne import (
@@ -264,24 +263,30 @@ def run_analytic(config: ProtocolConfig) -> CloneMoments:
     )
 
 
-def circuit_states(config: ProtocolConfig) -> dict[str, GaussianState]:
-    """Named snapshots of the covariance pipeline, for audits and demos.
-
-    The receiver couplers act on B and C only, so they commute with
-    everything the sender does and come first; couplers then splitter, and
-    that followed by her detection loss, are each one composed channel
-    applied to the joint state.
-    """
-    joint = tensor(coherent([config.input_alpha]), config.resource)
+def _circuit_moments(config: ProtocolConfig) -> tuple:
+    """``(joint, split, detected)`` on (in, A, B, C), the states as (mean,
+    cov) arrays: the only route to the detected state. The couplers act on
+    B and C only, so they commute with all the sender does and come first;
+    couplers then splitter (``split``), and that followed by her detection
+    loss, are each one composed channel."""
+    resource, alpha = config.resource, config.input_alpha
+    mean = np.concatenate(((alpha.real, alpha.imag), resource.mean))
+    cov = np.zeros((8, 8))
+    cov[0, 0] = cov[1, 1] = VACUUM_VARIANCE
+    cov[2:, 2:] = resource.cov
     t, eta = config.coupler_t, config.eta_homodyne
     split = compose(loss_map(4, {MODE_B: t, MODE_C: t}), _SENDER_SPLITTER)
-    detect = compose(split, loss_map(4, {0: eta, 1: eta}))
-    return {
-        "resource": config.resource,
-        "joint": joint,
-        "bell_split": apply_channel(joint, split),
-        "detected": apply_channel(joint, detect),
-    }
+    detect = compose(split, loss_map(4, {MODE_IN: eta, MODE_A: eta}))
+    return (mean, cov), split, channel_moments(detect, mean, cov)
+
+
+def circuit_states(config: ProtocolConfig) -> dict[str, GaussianState]:
+    """Named snapshots of the covariance pipeline, for audits and demos;
+    the only place that applies ``split`` alone (``bell_split``)."""
+    (mean, cov), split, detected = _circuit_moments(config)
+    joint = GaussianState(mean, cov)
+    return {"resource": config.resource, "joint": joint,
+            "bell_split": apply_channel(joint, split), "detected": GaussianState(*detected)}
 
 
 @dataclass(frozen=True)
@@ -303,7 +308,7 @@ class _MeasurementPlan:
 
 
 def _measurement_plan(config: ProtocolConfig) -> _MeasurementPlan:
-    state = circuit_states(config)["detected"]
+    state = GaussianState(*_circuit_moments(config)[2])
     keep, gain_map, cond_cov = conditional(state, READOUT)
     q_idx = np.array([sel.index() for sel in READOUT])
 
@@ -464,5 +469,5 @@ def alice_trace_levels(config: ProtocolConfig) -> tuple[float, float]:
     is the mean-power loss of the measured state relative to the input
     imposed by the sender's balanced splitter: exactly 10 log10(2) dB.
     """
-    _, var_p_v = marginal(circuit_states(config)["detected"], READOUT[1])
+    _, var_p_v = marginal(GaussianState(*_circuit_moments(config)[2]), READOUT[1])
     return var_p_v, 10.0 * math.log10(2.0)

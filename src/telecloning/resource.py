@@ -23,17 +23,16 @@ import numpy as np
 
 from .gaussian import (
     MIN_VARIANCE_PRODUCT,
+    VACUUM_VARIANCE,
     GaussianState,
     PhysicalityError,
-    apply_channel,
     assert_physical,
     beam_splitter_50_50,
+    channel_moments,
+    check_variance_pair,
     compose,
     loss_map,
-    squeezed_vacuum,
     symplectic_map,
-    tensor,
-    vacuum,
 )
 from .metrics import db_to_variance
 
@@ -121,14 +120,17 @@ def build_telecloning_resource(spec_i: SqueezerSpec, spec_ii: SqueezerSpec,
     splitter produces A = (i + ii)/sqrt(2) and an internal mode; the
     second splits the internal mode against a vacuum into B and C; then
     mode k of (A, B, C) loses 1 - eta[k] to vacuum. The circuit and the
-    losses are one composed channel, applied once to the product of the
-    inputs.
+    losses are one composed channel, applied once to the diagonal
+    covariance of the inputs.
     """
-    mode_i = squeezed_vacuum(spec_i.antisqueezed_variance, spec_i.squeezed_variance)
-    mode_ii = squeezed_vacuum(spec_ii.squeezed_variance, spec_ii.antisqueezed_variance)
+    variances = (spec_i.antisqueezed_variance, spec_i.squeezed_variance,
+                 spec_ii.squeezed_variance, spec_ii.antisqueezed_variance)
+    check_variance_pair(*variances[:2])
+    check_variance_pair(*variances[2:])
     circuit = compose((resource_circuit_matrix(), np.zeros((6, 6))),
                       loss_map(3, dict(zip((MODE_A, MODE_B, MODE_C), eta))))
-    state = apply_channel(tensor(mode_i, mode_ii, vacuum(1)), circuit)
+    inputs = np.diag([*variances, VACUUM_VARIANCE, VACUUM_VARIANCE])
+    state = GaussianState(*channel_moments(circuit, np.zeros(6), inputs))
     assert_physical(state, context="telecloning resource")
     return state
 

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     random_config,
@@ -19,7 +21,7 @@ from helpers import (
     reference_serialize_config,
     reference_spectra,
 )
-from telecloning.cli import main
+from telecloning.cli import _emit, main
 from telecloning.config import (
     ConfigError,
     load_config,
@@ -416,6 +418,66 @@ def test_each_command_builds_one_resource(capsys, monkeypatch, command):
     code, _, _ = run_cli(capsys, command[0], str(CONFIGS / "paper.cfg"), *command[1:])
     assert code == 0
     assert len(built) == 1
+
+
+def test_run_builds_three_gaussian_states(capsys, monkeypatch):
+    # the resource, the detected state and the clone output: the pipeline
+    # between them runs on plain arrays
+    from telecloning.gaussian import GaussianState
+
+    built = []
+    real = GaussianState.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(GaussianState, "__post_init__", counting)
+    code, _, _ = run_cli(capsys, "run", str(CONFIGS / "paper.cfg"))
+    assert code == 0
+    assert len(built) <= 3
+
+
+# Documents of the result's shape: dicts of str keys, nested three deep,
+# empty ones included; floats at the edges of repr, ints beyond 64 bits, and
+# strings with non-ASCII, control and surrogate characters.
+_JSON_TEXT = st.text(max_size=6) | st.sampled_from(
+    ["", "\x00\x1f\"\\/\x7f", "\u00e9\u2028\u2029", "\U0001f600\ud800", "\t\r\n"])
+_JSON_LEAVES = (
+    st.floats(allow_nan=False, allow_infinity=False) | st.integers() | _JSON_TEXT
+    | st.none() | st.booleans()
+    | st.sampled_from([-0.0, 5e-324, 1e16, 1.7976931348623157e308, 2**64, -2**100]))
+
+
+def _json_dicts(values):
+    return st.dictionaries(_JSON_TEXT, values, max_size=4)
+
+
+@example({"": {}, "\u00e9\x00\u2028": {"a": {"b": -0.0, "c": {}}}, "yes": True, "no": False,
+          "none": None, "tiny": 5e-324, "e16": 1e16, "big": 2**70, "neg": -2**100,
+          "text": "\x1f\"\\\U0001f600\ud800", "int": 0, "float": 0.1})
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(document=_json_dicts(_JSON_LEAVES | _json_dicts(_JSON_LEAVES | _json_dicts(_JSON_LEAVES))))
+def test_emitter_writes_the_bytes_of_json_dumps(document):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(document)
+    assert out.getvalue() == json.dumps(document, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("value, shown", ((math.inf, "inf"), (-math.inf, "-inf"),
+                                          (math.nan, "nan")))
+def test_non_finite_result_is_a_numeric_error(capsys, monkeypatch, value, shown):
+    import telecloning.cli
+
+    monkeypatch.setattr(telecloning.cli, "optimal_squeezing", lambda: (1.0, value, 2.0))
+    code, out, err = run_cli(capsys, "criteria", str(CONFIGS / "paper.cfg"))
+    assert (code, out) == (2, "")
+    assert err == ("numeric error: result is not finite: "
+                   f"Out of range float values are not JSON compliant: {shown}\n")
+    with pytest.raises(ValueError) as expected:  # json's own wording
+        json.dumps({"db": value}, indent=2, allow_nan=False)
+    assert err == f"numeric error: result is not finite: {expected.value}\n"
 
 
 @pytest.mark.parametrize("command, text", (

@@ -5,10 +5,7 @@ import contextlib
 import io
 import json
 import math
-import os
 import re
-import tempfile
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,11 +13,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import reference_parse_config
 from telecloning.cli import main
 from telecloning.config import _SCHEMA, ConfigError, parse_config
-
-# Hypothesis caches constants it mines from the source; keep that cache
-# out of the working tree (examples are not stored: database=None)
-os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
-                      str(Path(tempfile.gettempdir()) / "telecloning-hypothesis"))
+from telecloning.gaussian import PHYSICALITY_TOL, VACUUM_VARIANCE
 
 _ANY = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -91,7 +84,14 @@ def test_every_accepted_config_exits_0_1_or_2(config_path, text):
             values = [float(v) for row in rows for v in row.split(",")]
             assert len(rows) == 9 and all(map(math.isfinite, values)), (argv, text)
         else:
-            json.loads(out.getvalue())
+            document = json.loads(out.getvalue())
+            if argv[0] != "run":  # sample's 50-shot estimates may fall below the bound
+                continue
+            for k in (1, 2):  # a bona fide clone covariance and a fidelity in [0, 1]
+                clone = document["clone_moments"][f"clone{k}"]
+                uncertainty = math.sqrt(clone["var_x"] * clone["var_p"])
+                assert uncertainty >= VACUUM_VARIANCE - PHYSICALITY_TOL, (argv, text)
+                assert 0.0 <= document["fidelity"][f"f_clone{k}"] <= 1.0, (argv, text)
 
 
 # Pieces of config lines: names the schema knows (listed twice, to draw them

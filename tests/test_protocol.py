@@ -88,6 +88,34 @@ def test_plan_conditioning_equals_successive_readouts():
             assert np.abs(actual - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+def test_plan_conditions_on_the_detected_state_of_circuit_states(monkeypatch):
+    # one route to the detected state: the audit snapshot, the plan's
+    # conditioning input and the sender's trace levels hold the same bits
+    import telecloning.protocol
+
+    seen = []
+    real = telecloning.protocol.conditional
+
+    def recording(state, sels):
+        seen.append(state)
+        return real(state, sels)
+
+    monkeypatch.setattr(telecloning.protocol, "conditional", recording)
+    rng = np.random.default_rng(31)
+    configs = [protocol_config_from(load_config(str(CONFIGS / f"{name}.cfg")))
+               for name in ("optimal", "classical", "paper")]
+    configs += [random_config(rng) for _ in range(50)]
+    p_v = READOUT[1].index()
+    for config in configs:
+        seen.clear()
+        _measurement_plan(config)
+        (conditioned,) = seen
+        detected = circuit_states(config)["detected"]
+        assert detected.mean.tobytes() == conditioned.mean.tobytes()
+        assert detected.cov.tobytes() == conditioned.cov.tobytes()
+        assert alice_trace_levels(config)[0] == detected.cov[p_v, p_v]
+
+
 def test_optimal_point_moments():
     # one unit of vacuum noise on top of the input: var 1/2 per quadrature
     m = run_analytic(optimal_config())
