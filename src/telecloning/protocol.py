@@ -361,37 +361,57 @@ def run_circuit_analytic(config: ProtocolConfig) -> CloneMoments:
 
 
 def _simulate_shots(plan: _MeasurementPlan, seed: int, first_shot: int,
-                    n_shots: int, cond_sqrt: np.ndarray | None = None
+                    n_shots: int, cond_sqrt: np.ndarray | None = None,
+                    records: np.ndarray | None = None,
+                    draws: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray | None]:
     """Shots first_shot .. first_shot + n_shots - 1 as columns.
 
     Each shot samples x_u, then p_v given x_u, then displaces. Returns the
     (6, n_shots) ``ShotRecord`` fields and, with ``cond_sqrt``, the
-    (4, n_shots) raw clone quadratures driven by draws 2-5 of each shot.
+    (4, n_shots) raw clone quadratures driven by draws 2-5 of each shot,
+    written into ``records`` and ``draws`` when given.
     Every output is an elementwise expression of the shot's own draws
     (no matrix products), so a shot's values do not depend on the batch.
     """
     z = shot_normals(seed, first_shot, n_shots, 2 if cond_sqrt is None else 6)
+    if records is None:
+        records = np.empty((6, n_shots))
     mu_x, mu_p = plan.mu_q
     v_x = plan.sigma_q[0, 0]
     slope = plan.sigma_q[1, 0] / v_x
     v_p_given = plan.sigma_q[1, 1] - plan.sigma_q[1, 0] ** 2 / v_x
-    x_u = mu_x + math.sqrt(v_x) * z[:, 0]
-    p_v = (mu_p + slope * (x_u - mu_x)) + math.sqrt(max(v_p_given, 0.0)) * z[:, 1]
+    x_u, p_v = records[0], records[1]
+    tmp = np.empty(n_shots)
+    # x_u = mu_x + sqrt(v_x) z0
+    np.multiply(z[:, 0], math.sqrt(v_x), out=x_u)
+    x_u += mu_x
+    # p_v = (mu_p + slope (x_u - mu_x)) + sqrt(v_p_given) z1
+    np.subtract(x_u, mu_x, out=p_v)
+    p_v *= slope
+    p_v += mu_p
+    p_v += np.multiply(z[:, 1], math.sqrt(max(v_p_given, 0.0)), out=tmp)
 
     # clone means = base_mean + gain_map (m - mu_q) + ffwd m
+    #             = (offset + total[:, 0] x_u) + total[:, 1] p_v
     total = plan.gain_map + plan.ffwd
     offset = plan.base_mean - plan.gain_map @ plan.mu_q
-    records = np.empty((6, n_shots))
-    records[0], records[1] = x_u, p_v
     for k in range(4):
-        records[2 + k] = offset[k] + total[k, 0] * x_u + total[k, 1] * p_v
+        row = records[2 + k]
+        np.multiply(x_u, total[k, 0], out=row)
+        row += offset[k]
+        row += np.multiply(p_v, total[k, 1], out=tmp)
     if cond_sqrt is None:
         return records, None
-    draws = np.empty((4, n_shots))
+    if draws is None:
+        draws = np.empty((4, n_shots))
     for k in range(4):
-        draws[k] = records[2 + k] + sum(cond_sqrt[k, i] * z[:, 2 + i]
-                                        for i in range(4))
+        # the clone mean plus sum_i cond_sqrt[k, i] z_(2+i), summed in order
+        row = draws[k]
+        np.multiply(z[:, 2], cond_sqrt[k, 0], out=row)
+        for i in range(1, 4):
+            row += np.multiply(z[:, 2 + i], cond_sqrt[k, i], out=tmp)
+        row += records[2 + k]
     return records, draws
 
 
@@ -432,18 +452,20 @@ def run_monte_carlo(config: ProtocolConfig, sampled: bool = False
     draws = np.empty((4, n)) if sampled else None
     for first in range(0, n, _CHUNK_SHOTS):
         stop = min(first + _CHUNK_SHOTS, n)
-        chunk, drawn = _simulate_shots(plan, config.seed, first, stop - first,
-                                       cond_sqrt)
-        records[:, first:stop] = chunk
-        if sampled:
-            draws[:, first:stop] = drawn
+        _simulate_shots(plan, config.seed, first, stop - first, cond_sqrt,
+                        records[:, first:stop],
+                        draws[:, first:stop] if sampled else None)
 
-    # raw clone quadratures when sampled, else the conditional means
+    # raw clone quadratures when sampled, else the conditional means; the
+    # mean and the ddof=1 variance are numpy's mean and var, from one sum
     samples = draws if sampled else records[2:]
-    mean_hat = samples.mean(axis=1).tolist()
+    mean = samples.sum(axis=1) / n
+    mean_hat = mean.tolist()
     cond_var = np.diag(plan.cond_cov)
     if n > 1:
-        spread = samples.var(axis=1, ddof=1)
+        dev = samples - mean[:, None]
+        dev *= dev
+        spread = dev.sum(axis=1) / (n - 1)
         var_hat = (spread if sampled else spread + cond_var).tolist()
         se_mean = np.sqrt(spread / n).tolist()
         se_var = (spread * math.sqrt(2.0 / (n - 1))).tolist()

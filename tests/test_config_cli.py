@@ -351,7 +351,7 @@ def test_sample_csv_matches_csv_writer_rendering(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "sample", str(CONFIGS / "paper.cfg"),
                            "--shots", "300", "--seed", "77", "--csv", str(path))
     assert code == 0
-    assert json.loads(out)["provenance"]["rng"] == "philox4x64-10/ctr2j/ndtri52/v3"
+    assert json.loads(out)["provenance"]["rng"] == "philox4x64-10/ctr2j/ndtri52/v4"
     cfg = load_config(str(CONFIGS / "paper.cfg"))
     cfg["run.shots"], cfg["run.seed"] = 300, 77
     _, records = run_monte_carlo(protocol_config_from(cfg))
@@ -582,6 +582,26 @@ def test_run_and_sweep_leave_scipy_and_configparser_unimported():
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[0, 0] []\n"
+
+
+def test_sample_leaves_scipy_unimported(tmp_path):
+    script = (
+        "import contextlib, io, sys\n"
+        "import telecloning.cli\n"
+        "sample = ['sample', sys.argv[1], '--shots', '300']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [telecloning.cli.main(sample + extra)\n"
+        "             for extra in ([], ['--csv', sys.argv[2]], ['--sampled'])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script, str(CONFIGS / "paper.cfg"),
+                             str(tmp_path / "shots.csv")],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[0, 0, 0] []\n"
+    assert (tmp_path / "shots.csv").exists()
 
 
 def test_fits_leave_scipy_unimported():

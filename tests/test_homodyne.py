@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -19,7 +22,7 @@ from telecloning import (
     tensor,
     vacuum,
 )
-from telecloning.homodyne import _to_normal, conditional
+from telecloning.homodyne import _ndtri, _to_normal, conditional
 from helpers import random_selector, random_state, reference_condition_on
 
 X0 = QuadratureSelector(0, "x")
@@ -194,13 +197,29 @@ def test_shot_stream_handles_negative_seed():
         shot_stream(5, -1)
 
 
+class _Draw:
+    """One standard normal handed out by ``normal(loc, scale)``, as
+    ``shot_stream`` hands out a shot's first draw."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def normal(self, loc=0.0, scale=1.0):
+        return loc + scale * self.z
+
+
+def first_draws(seed, n):
+    """Draw 0 of shots 0..n-1, from one ``shot_normals`` batch."""
+    return [_Draw(z) for z in shot_normals(seed, 0, n, 1)[:, 0]]
+
+
 def test_outcome_variance_matches_marginal():
     # 1e5 vacuum samples: sample variance within 5 standard errors of 1/4
     n = 100_000
-    values = np.array([
-        sample_homodyne(vacuum(2), X0, shot_stream(5, j))[0]
-        for j in range(n)
-    ])
+    state = vacuum(2)
+    values = np.array([sample_homodyne(state, X0, draw)[0] for draw in first_draws(5, n)])
+    streamed = [sample_homodyne(state, X0, shot_stream(5, j))[0] for j in range(2000)]
+    assert values[:2000].tolist() == streamed
     se = 0.25 * np.sqrt(2.0 / (n - 1))
     assert abs(values.var(ddof=1) - 0.25) < 5 * se
     assert abs(values.mean()) < 5 * np.sqrt(0.25 / n)
@@ -212,10 +231,11 @@ def test_law_of_total_expectation():
     sel = QuadratureSelector(0, "p")
     n = 100_000
     keep_idx = [2, 3]
-    conditioned = np.empty((n, 2))
-    for j in range(n):
-        _, post = sample_homodyne(st, sel, shot_stream(6, j))
-        conditioned[j] = post.mean
+    conditioned = np.array([sample_homodyne(st, sel, draw)[1].mean
+                            for draw in first_draws(6, n)])
+    streamed = np.array([sample_homodyne(st, sel, shot_stream(6, j))[1].mean
+                         for j in range(2000)])
+    assert np.array_equal(conditioned[:2000], streamed)
     prior = st.mean[keep_idx]
     spread = conditioned.std(axis=0, ddof=1)
     assert np.all(np.abs(conditioned.mean(axis=0) - prior) < 5 * spread / np.sqrt(n) + 1e-12)
@@ -233,7 +253,7 @@ def test_shot_normals_match_numpy_philox(draws):
     for seed in PHILOX_SEEDS:
         for j in PHILOX_SHOTS:
             ref = np.random.Philox(key=seed % 2**64, counter=2 * j).random_raw(8)
-            expect = ndtri(((ref[:draws] >> 12) + 0.5) * 2.0**-52)
+            expect = _to_normal(ref[:draws])
             assert np.array_equal(shot_normals(seed, j, 1, draws)[0], expect), (seed, j)
 
 
@@ -281,3 +301,73 @@ def test_shot_stream_draws_equal_shot_normals():
     # location and scale are applied as loc + scale * z
     z = shot_normals(8, 2, 1, 1)[0, 0]
     assert shot_stream(8, 2).normal(1.5, 0.25) == 1.5 + 0.25 * z
+
+
+# the bins of the 52-bit map whose midpoints sit at Cephes's branch edges:
+# exp(-2) and 1 - exp(-2) bound the central rational, exp(-32) splits the tails
+EXP_M2, EXP_M32 = math.exp(-2.0), math.exp(-32.0)
+EDGE_BINS = [int(v * 2**52 - 0.5) for v in (EXP_M2, 1.0 - EXP_M2, EXP_M32)]
+ORACLE_BINS = sorted({*range(50), *(2**52 - 1 - k for k in range(50)),
+                      *(2**i for i in range(52)),
+                      *(b + d for b in EDGE_BINS for d in range(-2, 3))})
+
+
+def bin_midpoints(bins):
+    return (np.array(bins, dtype=np.uint64) + 0.5) * 2.0**-52
+
+
+def is_central(u):
+    return (u > EXP_M2) & (u <= 1.0 - EXP_M2)
+
+
+def test_ndtri_equals_scipy_on_philox_words():
+    words = np.random.Philox(key=20240601).random_raw(1_200_000)
+    u = ((words >> 12) + 0.5) * 2.0**-52
+    u = np.concatenate([u, bin_midpoints(ORACLE_BINS)])
+    ours, theirs = _ndtri(u), ndtri(u)
+    central = is_central(u)
+    assert 0.7 < central.mean() < 0.76
+    assert np.array_equal(ours[central], theirs[central])
+    tail = ~central
+    ulps = np.abs(ours[tail] - theirs[tail]) / np.spacing(np.abs(theirs[tail]))
+    assert ulps.max() <= 8
+    # numpy's log and the C library's differ in the last bit on few inputs,
+    # so nearly every tail value is still scipy's, also beyond exp(-32)
+    assert np.mean(ours[tail] != theirs[tail]) < 1e-3
+    far = (u < EXP_M32) | (u > 1.0 - EXP_M32)
+    assert far.sum() >= 100 and np.mean(ours[far] != theirs[far]) < 0.05
+
+
+def test_ndtri_matches_mpmath_erfinv():
+    u = bin_midpoints(ORACLE_BINS)
+    z = _ndtri(u)
+    with mpmath.workdps(40):
+        exact = [mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(float(v)) - 1) for v in u]
+        worst = max(abs((mpmath.mpf(float(a)) - b) / b) for a, b in zip(z, exact))
+    assert worst <= 1e-15
+
+
+def test_to_normal_is_odd_in_the_word():
+    # word 2**64 - 1 - w lands in bin 2**52 - 1 - k, at midpoint 1 - u
+    words = np.concatenate([np.random.Philox(key=77).random_raw(200_000),
+                            np.array(ORACLE_BINS, dtype=np.uint64) << np.uint64(12)])
+    z, mirrored = _to_normal(words), _to_normal(~words)
+    u = ((words >> 12) + 0.5) * 2.0**-52
+    # exp(-2) is itself a bin midpoint: it takes the tail branch and its
+    # mirror 1 - exp(-2) the central one, which round apart
+    edge = (u == EXP_M2) | (u == 1.0 - EXP_M2)
+    assert edge.sum() == 2
+    assert np.array_equal(z[~edge], -mirrored[~edge])
+    assert np.all(np.abs(z[edge] + mirrored[edge]) <= np.spacing(np.abs(z[edge])))
+
+
+def test_ndtri_takes_scalars_and_any_shape():
+    z = _ndtri(0.3)
+    assert isinstance(z, np.float64) and z == ndtri(0.3)
+    assert _ndtri(np.array(0.975)) == ndtri(0.975)
+    assert _ndtri(np.empty(0)).shape == (0,)
+    assert _ndtri(np.empty((0, 3))).shape == (0, 3)
+    grid = np.linspace(0.01, 0.99, 12).reshape(3, 4)
+    assert np.array_equal(_ndtri(grid), _ndtri(grid.ravel()).reshape(3, 4))
+    assert _to_normal(5) == _to_normal(np.array([5], dtype=np.uint64))[0]
+    assert _to_normal(np.empty((0, 2), dtype=np.uint64)).shape == (0, 2)
