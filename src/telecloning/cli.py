@@ -41,10 +41,180 @@ from .resource import (
 )
 
 PATH_AGREEMENT_TOL = 1e-9
-_FLOAT_FMT = "%.12g"
-_CSV_ROW = "%d" + ("," + _FLOAT_FMT) * 6 + "\n"  # shot index and ShotRecord
-_SWEEP_ROW = ",".join([_FLOAT_FMT] * 6) + "\n"
-_CSV_BLOCK_ROWS = 1 << 13
+# Rows per block of the sweep's computation and of both CSV writers. Median
+# of 30 alternated in-process rounds on a 2-core x86 host, writing 1e5
+# `sample` rows: 62.5, 58.5, 57.7, 60.7 ms at 2**10..2**13 (2**14: 119 ms,
+# once a block's temporaries outgrow the 2 MB L2 cache); a 100 001-step
+# sweep: 123.7, 117.4, 113.8, 121.2 ms.
+_CSV_BLOCK_ROWS = 1 << 12
+
+# CSV text without formatting each value in Python: every field is built in
+# fixed-width little-endian 64-bit words padded with NUL bytes, and one
+# bytes.translate per block deletes the padding.
+_WORD = np.dtype("<u8")
+# Indexed by g = 100 * ab + cd: the ASCII digits abcd, a in the lowest byte,
+# and the trailing zero digits of abcd (those of cd, and of ab when cd is
+# 00; 4 for 0). The pair tables hold the same for the 100 values of ab.
+_DIGIT = np.arange(10)
+_PAIR = (48 * 0x0101 + _DIGIT[:, None] + (_DIGIT << 8)).ravel()
+_DIGITS4 = (_PAIR[:, None] + (_PAIR << 16)).ravel().astype(np.uint64)
+_ZERO = (_DIGIT == 0).astype(np.intp)
+_PAIR_ZEROS = (_ZERO * (1 + _ZERO[:, None])).ravel()
+_ZEROS4 = (_PAIR_ZEROS + (_PAIR_ZEROS == 2) * _PAIR_ZEROS[:, None]).ravel()
+_BYTE_MASK = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def _first_bytes(n, words: int) -> list:
+    """Masks of the first ``n`` bytes of a field of ``words`` words."""
+    return [_BYTE_MASK[np.minimum(np.maximum(n - 8 * k, 0), 8)] for k in range(words)]
+
+
+# Tables over the decimal exponents the vectorised route takes, -11..33 (so
+# that 10**|11 - e| is an exact float), indexed by e + 11. %.12g writes 12
+# significant digits in %f form for -4 <= e < 12 and in %e form otherwise,
+# then drops trailing fraction zeros and a bare point.
+_EXP = np.arange(-11, 34)
+_SCALE_UP = 10.0 ** np.maximum(11 - _EXP, 0)
+_SCALE_DOWN = 10.0 ** np.maximum(_EXP - 11, 0)
+_FIXED = (_EXP >= -4) & (_EXP < 12)
+# digits before the point in the 13-byte digit region; 12 (no point) below
+# 1, where the "0." prefix holds it
+_POINT = np.where(_FIXED, np.where(_EXP < 0, 12, _EXP + 1), 1)
+_POINT_KEEP = _first_bytes(_POINT, 2)
+_POINT_BYTE = [np.uint64(0x2E2E2E2E2E2E2E2E) & (high ^ low)
+               for high, low in zip(_first_bytes(_POINT + 1, 2), _POINT_KEEP)]
+# bytes of the digit region kept, by exponent and trailing zero digits: up
+# to the last non-zero fraction digit, with the point if a fraction is left
+_TRAILING = np.arange(12)
+_FRACTION = np.maximum(12 - _POINT[:, None] - _TRAILING, 0)
+_REGION = _first_bytes(np.where((_FIXED & (_EXP < 0))[:, None], 12 - _TRAILING,
+                                _POINT[:, None] + _FRACTION + (_FRACTION > 0)).ravel(), 2)
+# bytes 0-5 of a field: the sign and the "0.000", ..., "0." prefix of
+# e = -4..-1, indexed by e + 11 + 45 * negative
+_PREFIX = np.zeros((2, _EXP.size), dtype=np.uint64)
+_PREFIX[:, 7:11] = [int.from_bytes(b"0." + b"0" * k, "little") << 8 for k in (3, 2, 1, 0)]
+_PREFIX[1] |= np.uint64(ord("-"))
+_PREFIX = _PREFIX.ravel()
+# bytes 19-22: the exponent of the %e form
+_SUFFIX = (~_FIXED * (ord("e") | np.where(_EXP < 0, ord("-"), ord("+")) << 8
+                      | (48 + abs(_EXP) // 10) << 16 | (48 + abs(_EXP) % 10) << 24)
+           ).astype(np.uint64)
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _round12(values: np.ndarray) -> tuple:
+    """The 12 significant digits of each value, where one float rounding
+    decides them for certain.
+
+    Returns ``(fast, row, digits)`` with the decimal exponent e = row - 11:
+    wherever ``fast`` is true, ``digits`` is the integer
+    ``round(|v| * 10**(11 - e))`` in [1e11, 1e12) and ``row`` indexes the
+    exponent tables. The scaling rounds once, so the scaled value is within
+    2**-14 of the exact one, and a value whose fraction is within 2.5e-4 of
+    a half is left to Python, as are zeros, non-finite values, subnormals,
+    exponents outside -11..33 and the values that round to the next power
+    of ten.
+    """
+    a = np.abs(values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.log10(a)
+    np.floor(e, out=e)
+    fast = (e >= -11) & (e <= 33)
+    slow = ~fast
+    np.copyto(e, 0.0, where=slow)
+    np.copyto(a, 1.0, where=slow)
+    row = e.astype(np.intp)
+    row += 11
+    s = a * _SCALE_UP.take(row)
+    s /= _SCALE_DOWN.take(row)
+    digits = np.rint(s)
+    fast &= s >= 1e11
+    fast &= s < 1e12 - 1
+    s -= digits
+    fast &= np.abs(s, out=s) < 0.49975
+    np.copyto(digits, 1e11, where=~fast)
+    return fast, row, digits.astype(np.int64)
+
+
+def _float_words(values: np.ndarray) -> np.ndarray:
+    """``"%.12g" % v`` of each value as three words, byte 23 left NUL.
+
+    Bytes 0-5 hold the sign and prefix, 6-18 the 12 digits with the point
+    and 19-22 the exponent. A value ``_round12`` leaves to Python is
+    formatted by ``%``.
+    """
+    fast, row, digits = _round12(values)
+    q0 = digits // 100_000_000
+    digits -= q0 * 100_000_000
+    q1 = digits // 10_000
+    q2 = digits - q1 * 10_000
+    lo = _DIGITS4.take(q0)
+    lo |= _DIGITS4.take(q1) << np.uint64(32)
+    hi = _DIGITS4.take(q2)
+    zeros = _ZEROS4.take(q2)
+    rare = np.flatnonzero(q2 == 0)
+    if rare.size:
+        r1 = q1[rare]
+        zeros[rare] += _ZEROS4.take(r1) + (r1 == 0) * _ZEROS4.take(q0[rare])
+    # insert the point: the bytes after it move up by one
+    keep_lo = lo & _POINT_KEEP[0].take(row)
+    keep_hi = hi & _POINT_KEEP[1].take(row)
+    lo ^= keep_lo
+    hi ^= keep_hi
+    hi <<= np.uint64(8)
+    hi |= lo >> np.uint64(56)
+    hi |= keep_hi | _POINT_BYTE[1].take(row)
+    lo <<= np.uint64(8)
+    lo |= keep_lo | _POINT_BYTE[0].take(row)
+    # NUL the trailing fraction zeros, and the point if no fraction is left
+    region = row * 12
+    region += zeros
+    lo &= _REGION[0].take(region)
+    hi &= _REGION[1].take(region)
+    words = np.empty((values.size, 3), dtype=_WORD)
+    words[:, 0] = _PREFIX.take(row + _EXP.size * (values < 0)) | lo << np.uint64(48)
+    words[:, 1] = lo >> np.uint64(16) | hi << np.uint64(48)
+    words[:, 2] = hi >> np.uint64(16) | _SUFFIX.take(row) << np.uint64(24)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = b"".join(("%.12g" % v).encode().ljust(24, b"\0")
+                        for v in values[slow].tolist())
+        words[slow] = np.frombuffer(text, dtype=_WORD).reshape(-1, 3)
+    return words
+
+
+def _int_words(index: np.ndarray) -> np.ndarray:
+    """``"%d," % j`` of each int in [0, 2**63) as three words: 20 digits,
+    their leading zeros NUL, and the comma."""
+    groups, rest = [], index.astype(np.int64)
+    for _ in range(4):
+        quotient = rest // 10_000
+        groups.append(rest - quotient * 10_000)
+        rest = quotient
+    text = [_DIGITS4.take(rest) | _DIGITS4.take(groups[3]) << np.uint64(32),
+            _DIGITS4.take(groups[2]) | _DIGITS4.take(groups[1]) << np.uint64(32),
+            _DIGITS4.take(groups[0]) | np.uint64(ord(",") << 32)]
+    leading = 19 - _POW10.searchsorted(index, side="right")
+    words = np.empty((index.size, 3), dtype=_WORD)
+    for k, mask in enumerate(_first_bytes(leading, 3)):
+        words[:, k] = text[k] & ~mask
+    return words
+
+
+def _csv_rows(values: np.ndarray, index: np.ndarray | None = None) -> bytes:
+    """The CSV rows ``"%d" % index[r]`` (if given) and ``"%.12g" % v`` for
+    each ``v`` of ``values[r]``, comma-separated, one per line: the bytes of
+    the ``%`` operator, from a fixed number of numpy operations and ``%`` on
+    the few values ``_round12`` leaves to Python."""
+    rows, width = values.shape
+    lead = 0 if index is None else 1
+    words = np.empty((rows, lead + width, 3), dtype=_WORD)
+    if index is not None:
+        words[:, 0] = _int_words(index)
+    words[:, lead:] = _float_words(values.ravel()).reshape(rows, width, 3)
+    words[:, lead:-1, 2] |= np.uint64(ord(",") << 56)
+    words[:, -1, 2] |= np.uint64(ord("\n") << 56)
+    return words.tobytes().translate(None, b"\0")
 
 
 def _criteria_dict(config: ProtocolConfig) -> dict:
@@ -155,13 +325,13 @@ def cmd_sample(args) -> int:
     moments, records = run_monte_carlo(config, args.sampled)
     if args.csv:
         try:
-            with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-                handle.write("shot,x_u,p_v,x1,p1,x2,p2\n")
+            with open(args.csv, "wb") as handle:
+                handle.write(b"shot,x_u,p_v,x1,p1,x2,p2\n")
                 # blocks of rows keep the formatted text small at any shot count
                 for first in range(0, len(records), _CSV_BLOCK_ROWS):
-                    block = records.columns[:, first:first + _CSV_BLOCK_ROWS]
-                    rows = zip(range(first, first + block.shape[1]), *block.tolist())
-                    handle.write("".join(_CSV_ROW % row for row in rows))
+                    block = records.columns[:, first:first + _CSV_BLOCK_ROWS].T
+                    index = np.arange(first, first + len(block))
+                    handle.write(_csv_rows(block, index))
         except OSError as exc:
             raise ConfigError(f"cannot write {args.csv}: {exc.strerror or exc}") from exc
     out = _run_output(cfg, config, moments, "monte-carlo")
@@ -230,8 +400,8 @@ def cmd_sweep(args) -> int:
                      "var_x_clone,var_p_clone,fidelity\n")
     for first in range(0, grid.size, _CSV_BLOCK_ROWS):
         block = slice(first, first + _CSV_BLOCK_ROWS)
-        rows = zip(grid[block].tolist(), *columns[:, block].tolist())
-        sys.stdout.write("".join(_SWEEP_ROW % row for row in rows))
+        rows = np.column_stack((grid[block], *columns[:, block]))
+        sys.stdout.write(_csv_rows(rows).decode("ascii"))
     return 0
 
 

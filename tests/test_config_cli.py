@@ -21,7 +21,7 @@ from helpers import (
     reference_serialize_config,
     reference_spectra,
 )
-from telecloning.cli import _emit, main
+from telecloning.cli import _CSV_BLOCK_ROWS, _csv_rows, _emit, _round12, main
 from telecloning.config import (
     ConfigError,
     load_config,
@@ -348,12 +348,13 @@ def test_integer_beyond_float_range_exits_1(capsys, tmp_path, key):
 def test_sample_csv_matches_csv_writer_rendering(capsys, tmp_path):
     from telecloning import run_monte_carlo
     path = tmp_path / "shots.csv"
+    shots = 2 * _CSV_BLOCK_ROWS + 7  # two block seams and a partial block
     code, out, _ = run_cli(capsys, "sample", str(CONFIGS / "paper.cfg"),
-                           "--shots", "300", "--seed", "77", "--csv", str(path))
+                           "--shots", str(shots), "--seed", "77", "--csv", str(path))
     assert code == 0
     assert json.loads(out)["provenance"]["rng"] == "philox4x64-10/ctr2j/ndtri52/v4"
     cfg = load_config(str(CONFIGS / "paper.cfg"))
-    cfg["run.shots"], cfg["run.seed"] = 300, 77
+    cfg["run.shots"], cfg["run.seed"] = shots, 77
     _, records = run_monte_carlo(protocol_config_from(cfg))
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
@@ -362,6 +363,74 @@ def test_sample_csv_matches_csv_writer_rendering(capsys, tmp_path):
         writer.writerow([j] + ["%.12g" % v for v in
                                (r.x_u, r.p_v, r.x1, r.p1, r.x2, r.p2)])
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+def _percent_rows(values, index=None) -> bytes:
+    """The CSV rows as the ``%`` operator writes them, one value at a time."""
+    lead = [[] for _ in values] if index is None else [["%d" % j] for j in index.tolist()]
+    return "".join(",".join(head + ["%.12g" % v for v in row]) + "\n"
+                   for head, row in zip(lead, values.tolist())).encode("ascii")
+
+
+def _float_edges() -> np.ndarray:
+    tens = np.array([float(f"1e{k}") for k in range(-330, 309)])
+    ties = [1e12 + 0.5, 999999999999.5, 123456789012.5, 1e15 + 5e3, 1e15 + 15e3,
+            109951162777.5]
+    round_up = [9.9999999999995, 99999999999.95, 0.99999999999995, 9.9999999999995e-5,
+                9.9999999999995e20, 9.99999999999949, 9.99999999999951]
+    trailing_zeros = [10.0, 100.0, 1e5, 1e11, 120.0, 1200000.0, 0.1, 0.5, 2.5, 1e-4]
+    switch = [1e-5, 9.99999999999e-5, 9.999999999995e-5, 0.0001, 999999999999.4, 1e12,
+              99999999999.9, 123456789012.0, 1234567890123.0, 1e-11, 9.99e33, 1e34]
+    # decimal ties that binary cannot hold: the nearest double lies just
+    # off the tie, and a scaled value may round onto it
+    near_ties = [float(f"{digits}5e{x}") for digits in ("1.23456789012", "3.14159265358",
+                                                        "7.00000000000", "9.99999999999")
+                 for x in range(-12, 35)]
+    special = [0.0, math.inf, math.nan, 5e-324, 1e-310, 2.2250738585072009e-308,
+               2.2250738585072014e-308, 1.7976931348623157e308]
+    values = np.concatenate((tens, np.nextafter(tens, np.inf), np.nextafter(tens, -np.inf),
+                             ties, round_up, trailing_zeros, switch, near_ties, special))
+    return np.concatenate((values, -values))
+
+
+def test_csv_rows_write_the_bytes_of_percent_on_edge_values():
+    values = _float_edges()
+    rows = np.resize(values, (-(-values.size // 7), 7))
+    # a shot index at every digit-count boundary up to 2**63 - 1
+    index = np.resize([0, 2**63 - 1] + [10**k + d for k in range(1, 19) for d in (-1, 0)],
+                      len(rows)).astype(np.int64)
+    assert _csv_rows(rows, index) == _percent_rows(rows, index)
+    assert _csv_rows(rows) == _percent_rows(rows)
+
+
+_FLOAT64 = (st.floats(width=64)
+            | st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
+            | st.floats(-1e3, 1e3))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(rows=st.integers(1, 7).flatmap(
+           lambda width: st.lists(st.lists(_FLOAT64, min_size=width, max_size=width),
+                                  min_size=1, max_size=12)),
+       with_index=st.booleans(), data=st.data())
+def test_csv_rows_write_the_bytes_of_percent(rows, with_index, data):
+    values = np.array(rows, dtype=np.float64)
+    index = None
+    if with_index:
+        index = np.array(data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=len(rows),
+                                            max_size=len(rows))), dtype=np.int64)
+    assert _csv_rows(values, index) == _percent_rows(values, index)
+
+
+def test_few_monte_carlo_values_take_the_python_route():
+    # the vectorised writer's speed rests on this share: the near-ties it
+    # leaves to Python are 5e-4 of uniformly spread digits (301 here)
+    from telecloning import run_monte_carlo
+    cfg = load_config(str(CONFIGS / "paper.cfg"))
+    cfg["run.shots"], cfg["run.seed"] = 100_000, 1401
+    _, records = run_monte_carlo(protocol_config_from(cfg))
+    fast = _round12(records.columns.ravel())[0]
+    assert np.count_nonzero(~fast) < 600  # 0.1% of the 6e5 values
 
 
 @pytest.mark.parametrize("param, start, stop", (
@@ -649,7 +718,7 @@ def _render(rows) -> str:
 
 @pytest.mark.parametrize("name", ("optimal", "classical", "paper"))
 @pytest.mark.parametrize("param, stop, steps", (
-    ("squeezing_db", 12.0, 1201),
+    ("squeezing_db", 12.0, 2 * _CSV_BLOCK_ROWS + 7),  # two block seams
     ("pump_mw", 95.0, 241),
 ))
 def test_sweep_matches_per_point_rendering(capsys, name, param, stop, steps):
