@@ -377,7 +377,10 @@ def cmd_sweep(args) -> int:
     if args.steps < 2:
         raise ConfigError("--steps must be at least 2")
     params = opo_params_from(cfg) if args.param == "pump_mw" else None
-    grid = np.linspace(args.start, args.stop, args.steps)
+    try:
+        grid = np.linspace(args.start, args.stop, args.steps)
+    except ValueError as exc:  # numpy refuses a size beyond its limits
+        raise MemoryError(f"--steps {args.steps}: {exc}") from exc
 
     # check and compute every point before the first byte goes out, so a
     # bad grid leaves stdout empty; the blocks bound the temporaries at any

@@ -12,7 +12,8 @@ otherwise, so the emitted squeezer spec is always physical. This is a
 phenomenological calibration model: pump sweeps built on it reproduce
 curve shapes and bounds, not any particular measured data points.
 
-The model is written once, as an elementwise expression:
+The model is written once, in ``_spectra``, as an elementwise expression
+that allocates each full-size dB array once and finishes it in place:
 ``squeezing_spectra`` evaluates it at one pump, ``pump_spectra`` over an
 array of pumps, and ``fidelity_vs_pump`` and ``fit_params`` run each of
 their grids as one array call.
@@ -21,7 +22,11 @@ their grids as one array call.
 Levenberg–Marquardt loop (D. W. Marquardt, SIAM J. Appl. Math. 11, 431
 (1963)) on the closed-form Jacobian ``_spectra_jacobian``, without
 importing ``scipy.optimize``; the tests keep scipy's ``least_squares`` as
-the oracle for the optimum.
+the oracle for the optimum. Its grid seed puts the data points on the
+leading axis, so the score of the 60 x 40 grid is a sum of contiguous
+per-point planes, added in numpy's pairwise order (``_pairwise_sum``) so
+that it keeps the bits of a last-axis ``sum``; the damped 2x2 step is
+taken on numpy scalars.
 """
 
 from __future__ import annotations
@@ -58,8 +63,10 @@ class OPOParams:
 def _spectra(x, eta_det, omega2):
     """(squeezing_db, antisqueezing_db) at pump amplitude x, elementwise.
 
-    Squares are written as products: a scalar ``**2`` calls libm ``pow``,
-    an array ``**2`` multiplies, and the two can differ in the last bit.
+    ``x`` and ``eta_det`` broadcast; ``omega2`` is a scalar. Scalar input
+    gives numpy scalars. Squares are written as products: a scalar ``**2``
+    calls libm ``pow``, an array ``**2`` multiplies, and the two can differ
+    in the last bit.
     """
     # cancellation-free forms: near threshold 1 - 4x/((1+x)^2) loses all
     # precision, but (1+x)^2 - 4 eta x = (1-x)^2 + 4x(1-eta) is a sum of
@@ -68,10 +75,25 @@ def _spectra(x, eta_det, omega2):
     down, up = 1.0 - x, 1.0 + x
     low = down * down + omega2
     high = up * up + omega2
-    v_minus = (low + 4.0 * x * (1.0 - eta_det)) / high
-    v_plus = (low + 4.0 * x * eta_det) / low
-    # + 0.0 turns the -0.0 of a zero pump into 0.0
-    return -10.0 * np.log10(v_minus) + 0.0, 10.0 * np.log10(v_plus)
+    four_x = 4.0 * x
+    squeezing = four_x * (1.0 - eta_det)
+    antisqueezing = four_x * eta_det
+    # each level is one full-size array finished in place (a scalar is
+    # rebound), in the order of -10 log10((low + 4x(1 - eta)) / high) + 0.0
+    # and 10 log10((low + 4x eta) / low)
+    squeezing += low
+    squeezing /= high
+    antisqueezing += low
+    antisqueezing /= low
+    if isinstance(squeezing, np.ndarray):
+        np.log10(squeezing, out=squeezing)
+        np.log10(antisqueezing, out=antisqueezing)
+    else:  # a numpy scalar has no buffer to write into
+        squeezing, antisqueezing = np.log10(squeezing), np.log10(antisqueezing)
+    squeezing *= -10.0
+    squeezing += 0.0  # turns the -0.0 of a zero pump into 0.0
+    antisqueezing *= 10.0
+    return squeezing, antisqueezing
 
 
 _DB_PER_NEPER = 10.0 / math.log(10.0)
@@ -143,9 +165,52 @@ class FitResult:
     n_points: int
 
 
-# bounds of the fit in (p_threshold / max pump, eta_det)
-_LOWER = np.array([1.0001, 1e-6])
-_UPPER = np.array([100.0, 1.0])
+# bounds of the fit in t = p_threshold / max pump and in eta_det
+_T_LOW, _T_HIGH = 1.0001, 100.0
+_ETA_LOW, _ETA_HIGH = 1e-6, 1.0
+# the seed grid in t and eta_det
+_T_GRID = np.geomspace(1.02, 50.0, 60)
+_ETA_GRID = np.linspace(0.05, 1.0, 40)
+
+
+def _pairwise_sum(terms):
+    """Sum of a list of equal-shape arrays, added in the order numpy's
+    pairwise summation adds a contiguous axis (runs longer than 128 split in
+    halves at a multiple of 8, eight interleaved partial sums within a run),
+    so that it equals ``np.stack(terms, axis=-1).sum(axis=-1)`` bit for bit.
+    Accumulates into the terms."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    # numpy's reduction starts from 0.0, so a sum of -0.0 terms is 0.0
+    if n < 8:
+        total, rest = terms[0] + 0.0, terms[1:]
+    else:
+        end = n - n % 8
+        for k in range(8, end):
+            terms[k % 8] += terms[k]
+        total = (terms[0] + terms[1]) + (terms[2] + terms[3]) + 0.0
+        total += (terms[4] + terms[5]) + (terms[6] + terms[7])
+        rest = terms[end:]
+    for term in rest:
+        total += term
+    return total
+
+
+def _seed_scores(ratio, s_meas, a_meas, omega2):
+    """Sums of squared dB residuals over the (t, eta_det) seed grid, shape
+    (60, 40). One ``_spectra`` call has the data points on the leading axis,
+    so each point's residuals are one contiguous plane; the planes are added
+    in numpy's pairwise order, so the scores keep the bits of a last-axis
+    ``sum`` over the point-trailing layout."""
+    s_sq, a_sq = _spectra(np.sqrt(ratio[:, None, None] / _T_GRID[:, None]),
+                          _ETA_GRID, omega2)
+    s_sq -= s_meas[:, None, None]
+    a_sq -= a_meas[:, None, None]
+    s_sq *= s_sq
+    a_sq *= a_sq
+    return _pairwise_sum([*s_sq, *a_sq])
 
 
 def fit_params(data: Sequence[tuple[float, float, float]],
@@ -153,13 +218,15 @@ def fit_params(data: Sequence[tuple[float, float, float]],
     """Least-squares (p_threshold, eta_det) from measured noise levels.
 
     ``data`` rows are (p_pump_mw, squeezing_db, antisqueezing_db). A
-    coarse grid search, one array expression over (p_threshold, eta_det,
-    point), seeds a bounded Levenberg–Marquardt solve of the 2n dB
-    residuals at the fixed analysis frequency, in t = p_threshold / max
-    pump within [1.0001, 100] and eta_det within [1e-6, 1]. A parameter
-    at a bound that the gradient pushes outward takes no step, and a step
-    across a bound is clipped to it. The loop stops when a step no longer
-    moves the parameters, or after 200 trial steps.
+    coarse grid search over (p_threshold, eta_det) seeds a bounded
+    Levenberg–Marquardt solve of the 2n dB residuals at the fixed analysis
+    frequency, in t = p_threshold / max pump within [1.0001, 100] and
+    eta_det within [1e-6, 1]. The 60 x 40 grid is scored in one
+    ``_spectra`` call with the data points on the leading axis
+    (``_seed_scores``). A parameter at a bound that the gradient pushes
+    outward takes no step, and a step across a bound is clipped to it. The
+    damped 2x2 normal equations are solved on numpy scalars. The loop stops
+    when a step no longer moves the parameters, or after 200 trial steps.
 
     Raises ``FloatingPointError`` when the sum of squared residuals at
     the result is not finite, as with dB levels beyond about 1e154.
@@ -185,51 +252,60 @@ def fit_params(data: Sequence[tuple[float, float, float]],
     measured = np.concatenate([s_meas, a_meas])
 
     def residuals(t, eta):
-        """The 2n dB residuals on the last axis; t and eta broadcast."""
-        return np.concatenate(_spectra(np.sqrt(ratio / t), eta, omega2), axis=-1) - measured
+        """The 2n dB residuals at one (t, eta_det)."""
+        return np.concatenate(_spectra(np.sqrt(ratio / t), eta, omega2)) - measured
 
     # overflow in the residuals shows as a non-finite result, checked below;
-    # the 2x2 solve is written out, so a singular system (a flat model) or
-    # a non-finite gradient ends the loop with a NaN step, not an exception
+    # the step is taken on numpy scalars, so a singular system (a flat model)
+    # or a non-finite gradient ends the loop with a NaN step, where Python
+    # floats would raise ZeroDivisionError
     with np.errstate(all="ignore"):
-        t_grid = np.geomspace(1.02, 50.0, 60)
-        eta_grid = np.linspace(0.05, 1.0, 40)
-        scores = (residuals(t_grid[:, None, None], eta_grid[None, :, None]) ** 2).sum(axis=-1)
+        scores = _seed_scores(ratio, s_meas, a_meas, omega2)
         # argmin keeps the first of equal scores in t-major order
         best_t, best_eta = np.unravel_index(np.argmin(scores), scores.shape)
-        theta = np.array([t_grid[best_t], eta_grid[best_eta]])
-        r = residuals(*theta)
+        t, eta = _T_GRID[best_t], _ETA_GRID[best_eta]
+        r = residuals(t, eta)
         rss = r @ r
         damping, moved = 1e-3, True
         for _ in range(200):
             if moved:
-                x = np.sqrt(ratio / theta[0])
-                ds_dx, da_dx, ds_deta, da_deta = _spectra_jacobian(x, theta[1], omega2)
-                dx_dt = -0.5 * x / theta[0]
+                x = np.sqrt(ratio / t)
+                ds_dx, da_dx, ds_deta, da_deta = _spectra_jacobian(x, eta, omega2)
+                dx_dt = -0.5 * x / t
                 # rows: the residuals' derivatives by t and by eta_det
                 jac_t = np.array([np.concatenate([ds_dx * dx_dt, da_dx * dx_dt]),
                                   np.concatenate([ds_deta, da_deta])])
-                grad = jac_t @ r
-                held = (((theta == _LOWER) & (grad > 0.0))
-                        | ((theta == _UPPER) & (grad < 0.0)))
-                grad[held] = 0.0
-                jac_t[held] = 0.0
-                normal = jac_t @ jac_t.T
+                grad_t, grad_eta = jac_t @ r
+                held_t = ((t == _T_LOW and grad_t > 0.0)
+                          or (t == _T_HIGH and grad_t < 0.0))
+                held_eta = ((eta == _ETA_LOW and grad_eta > 0.0)
+                            or (eta == _ETA_HIGH and grad_eta < 0.0))
+                if held_t:
+                    grad_t = jac_t[0] = 0.0
+                if held_eta:
+                    grad_eta = jac_t[1] = 0.0
+                (n_tt, n_te), (_, n_ee) = jac_t @ jac_t.T
             # a held parameter's row is 0 with 1 on the diagonal: no step
-            (a, b), (_, d) = normal + np.diag(damping * np.diag(normal) + held)
-            step = np.array([b * grad[1] - d * grad[0], b * grad[0] - a * grad[1]])
-            trial = np.clip(theta + step / (a * d - b * b), _LOWER, _UPPER)
-            if np.array_equal(trial, theta) or np.isnan(trial).any():
+            a = n_tt + (damping * n_tt + held_t)
+            d = n_ee + (damping * n_ee + held_eta)
+            det = a * d - n_te * n_te
+            t_trial = t + (n_te * grad_eta - d * grad_t) / det
+            eta_trial = eta + (n_te * grad_t - a * grad_eta) / det
+            if math.isnan(t_trial) or math.isnan(eta_trial):
                 break
-            r_trial = residuals(*trial)
+            t_trial = min(max(t_trial, _T_LOW), _T_HIGH)
+            eta_trial = min(max(eta_trial, _ETA_LOW), _ETA_HIGH)
+            if t_trial == t and eta_trial == eta:
+                break
+            r_trial = residuals(t_trial, eta_trial)
             rss_trial = r_trial @ r_trial
             moved = rss_trial < rss
             if moved:
-                theta, r, rss = trial, r_trial, rss_trial
+                t, eta, r, rss = t_trial, eta_trial, r_trial, rss_trial
                 damping *= 0.1
             else:
                 damping *= 10.0
-        p_th, eta, rss = float(theta[0] * p_max), float(theta[1]), float(rss)
+        p_th, eta, rss = float(t * p_max), float(eta), float(rss)
     if not math.isfinite(rss):
         raise FloatingPointError(
             f"least-squares fit: the sum of squared residuals is {rss} at "

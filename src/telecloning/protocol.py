@@ -440,7 +440,9 @@ def run_monte_carlo(config: ProtocolConfig, sampled: bool = False
     records. With ``sampled=False`` the variance estimate adds the exact
     conditional covariance to the spread of the conditional means; with
     ``sampled=True`` one output quadrature vector is drawn per shot and
-    the moments come from those raw samples.
+    the moments come from those raw samples. Raises ``MemoryError`` when
+    the shot records cannot be allocated, also for a shot count numpy
+    refuses as too big for any array.
     """
     plan = _measurement_plan(config)
     assert_physical(GaussianState(plan.base_mean, plan.cond_cov),
@@ -448,8 +450,11 @@ def run_monte_carlo(config: ProtocolConfig, sampled: bool = False
     cond_sqrt = _psd_sqrt(plan.cond_cov) if sampled else None
 
     n = config.shots
-    records = np.empty((6, n))
-    draws = np.empty((4, n)) if sampled else None
+    try:
+        records = np.empty((6, n))
+        draws = np.empty((4, n)) if sampled else None
+    except ValueError as exc:  # numpy refuses a size beyond its limits
+        raise MemoryError(f"{n} shots: {exc}") from exc
     for first in range(0, n, _CHUNK_SHOTS):
         stop = min(first + _CHUNK_SHOTS, n)
         _simulate_shots(plan, config.seed, first, stop - first, cond_sqrt,

@@ -553,6 +553,11 @@ def test_non_finite_result_is_a_numeric_error(capsys, monkeypatch, value, shown)
     (("sample",), f"[run]\nshots = {10**13}\n"),
     (("sweep", "--param", "squeezing_db", "--from", "0", "--to", "3",
       "--steps", str(10**14)), ""),
+    # sizes numpy itself refuses, with a ValueError, before any allocation
+    (("sample", "--shots", str(2 * 10**17)), ""),
+    (("sample",), f"[run]\nshots = {10**20}\n"),
+    (("sweep", "--param", "squeezing_db", "--from", "0", "--to", "3",
+      "--steps", str(2 * 10**18)), ""),
 ))
 def test_unallocatable_size_exits_1_without_output(capsys, tmp_path, command, text):
     # 437 TiB of shot records and a 728 TiB grid both exceed the 2**47 bytes
@@ -564,6 +569,7 @@ def test_unallocatable_size_exits_1_without_output(capsys, tmp_path, command, te
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("config error: out of memory")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, text", (

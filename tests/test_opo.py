@@ -1,4 +1,7 @@
+import hashlib
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +22,10 @@ from telecloning import (
     pump_spectra,
     squeezing_spectra,
 )
-from telecloning.opo import _spectra, _spectra_jacobian
+from telecloning import opo
+from telecloning.opo import _pairwise_sum, _seed_scores, _spectra, _spectra_jacobian
+
+PINS = Path(__file__).resolve().parent / "data" / "opo_pins.json"
 
 
 def test_params_validation():
@@ -285,25 +291,32 @@ def test_fit_equals_scipy_driven_fit(seed):
     assert "np." not in repr(fit)  # Python floats, not numpy scalars
 
 
-@pytest.mark.parametrize(("truth", "pumps"), (
+NOISE_FREE = (
     (OPOParams(120.0, 0.02), (10.0, 25.0, 45.0, 70.0, 95.0)),
     (OPOParams(150.0, 0.7), (0.0, 10.0, 20.0)),
     # subnormal and tiny pumps: the fit works in p_threshold / max pump
     (OPOParams(1.3e-300, 0.8), (5e-324, 3e-301, 1e-300)),
-))
-def test_fit_recovers_noise_free_parameters(truth, pumps):
+)
+
+
+def _noise_free_data(truth, pumps):
     data = []
     for pump in pumps:
         spec = squeezing_spectra(truth, pump)
         data.append((pump, spec.squeezing_db, spec.antisqueezing_db))
-    fit = fit_params(data)
+    return data
+
+
+@pytest.mark.parametrize(("truth", "pumps"), NOISE_FREE)
+def test_fit_recovers_noise_free_parameters(truth, pumps):
+    fit = fit_params(_noise_free_data(truth, pumps))
     assert fit.params.p_threshold_mw == pytest.approx(truth.p_threshold_mw, rel=1e-6)
     assert fit.params.eta_det == pytest.approx(truth.eta_det, rel=1e-6)
     assert fit.sum_squared_residual < 1e-20
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_fit_at_tiny_pump_scale_is_the_optimum(seed):
+def _tiny_pump_data(seed):
+    """Seeded noisy points at subnormal and tiny pump powers."""
     rng = np.random.default_rng(seed)
     truth = OPOParams(1.3e-300, rng.uniform(0.5, 0.95))
     data = []
@@ -311,6 +324,12 @@ def test_fit_at_tiny_pump_scale_is_the_optimum(seed):
         spec = squeezing_spectra(truth, pump)
         data.append((pump, spec.squeezing_db + rng.normal(0.0, 0.05),
                      spec.antisqueezing_db + rng.normal(0.0, 0.05)))
+    return data
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fit_at_tiny_pump_scale_is_the_optimum(seed):
+    data = _tiny_pump_data(seed)
     _assert_least_squares_optimum(fit_params(data), data, 0.0,
                                   reference_fit_scipy(data).sum_squared_residual)
 
@@ -338,3 +357,109 @@ def test_fit_with_overflowing_residuals_raises_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="least-squares fit"):
             fit_params([(10.0, 1e200, 1.5), (20.0, 2.0, 3.0), (30.0, 3.0, 4.5)])
+
+
+def test_fit_ends_on_a_singular_step_at_the_grid_seed(monkeypatch):
+    # a model flat in p_threshold makes the damped 2x2 system singular: the
+    # step is NaN (numpy's 0/0, not a ZeroDivisionError) and ends the loop
+    jacobian = opo._spectra_jacobian
+
+    def flat_in_x(x, eta_det, omega2):
+        ds_dx, da_dx, ds_deta, da_deta = jacobian(x, eta_det, omega2)
+        return np.zeros_like(ds_dx), np.zeros_like(da_dx), ds_deta, da_deta
+
+    monkeypatch.setattr(opo, "_spectra_jacobian", flat_in_x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_params([(10.0, 1.0, 1.5), (20.0, 2.0, 3.0), (30.0, 3.0, 4.5)])
+    assert (fit.params.p_threshold_mw, fit.params.eta_det) == (328.95275478883684,
+                                                               0.6102564102564103)
+
+
+@pytest.mark.parametrize("n", (*range(1, 20), 24, 127, 128, 129, 300))
+def test_pairwise_sum_adds_in_numpy_order(n):
+    # the fit's grid scores sum per-point planes; they must equal the sum
+    # over the contiguous last axis of the point-trailing layout bit for bit
+    rng = np.random.default_rng(n)
+    terms = rng.standard_normal((n, 3, 5)) * 10.0 ** rng.integers(-8, 9, (n, 3, 5))
+    terms[:, 0, 0] = -0.0  # numpy sums these to 0.0
+    terms[::2, 0, 1] = -0.0
+    expected = np.ascontiguousarray(np.moveaxis(terms, 0, -1)).sum(axis=-1)
+    assert _pairwise_sum(list(terms.copy())).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_seed_scores_equal_the_point_trailing_sum(seed):
+    data = _noisy_data(700 + seed, points=3 + 3 * seed)
+    omega2 = 0.16 if seed % 2 else 0.0
+    pumps, s_meas, a_meas = np.array(data).T
+    ratio = pumps / pumps.max()
+    # the grid as first written: points on the last axis, summed by numpy
+    levels = _spectra(np.sqrt(ratio / np.geomspace(1.02, 50.0, 60)[:, None, None]),
+                      np.linspace(0.05, 1.0, 40)[None, :, None], omega2)
+    expected = ((np.concatenate(levels, axis=-1) - np.concatenate([s_meas, a_meas])) ** 2
+                ).sum(axis=-1)
+    assert _seed_scores(ratio, s_meas, a_meas, omega2).tobytes() == expected.tobytes()
+
+
+def _pinned_fits():
+    """(name, data, omega) of the fits whose results ``PINS`` holds."""
+    cases = [(f"noisy-{points}-{omega}", _noisy_data(500 + points, points), omega)
+             for points in range(3, 15) for omega in (0.0, 0.4)]
+    cases += [(f"noise-free-{k}", _noise_free_data(*case), 0.0)
+              for k, case in enumerate(NOISE_FREE)]
+    cases += [(f"tiny-pump-{seed}", _tiny_pump_data(seed), 0.0) for seed in range(4)]
+    return cases
+
+
+def _pinned_spectra():
+    """name -> (x, eta_det, omega2) of the ``_spectra`` calls ``PINS`` holds:
+    scalar, 1-d and the fit's (points, t, 1) x (eta,) grid, with zero pumps."""
+    t_grid = np.geomspace(1.02, 50.0, 60)
+    grid_x = np.sqrt(np.array([0.0, 0.1, 0.35, 0.6, 0.9])[:, None, None] / t_grid[:, None])
+    eta_grid = np.linspace(0.05, 1.0, 40)
+    pumps_x = np.sqrt(np.linspace(0.0, 0.99, 241))
+    return {
+        "scalar": (np.sqrt(np.float64(0.375)), 0.9, 0.16),
+        "scalar-zero-pump": (np.float64(0.0), 0.9, 0.0),
+        "1d": (pumps_x, 0.8, 0.16),
+        "1d-unit-eta": (pumps_x, 1.0, 0.0),
+        "grid": (grid_x, eta_grid, 0.0),
+        "grid-omega": (grid_x, eta_grid, 0.16),
+    }
+
+
+def _spectra_digest(x, eta_det, omega2):
+    """Type, shape and sha256 of the bytes (so -0.0 differs from 0.0)."""
+    squeezing, antisqueezing = _spectra(x, eta_det, omega2)
+    digest = hashlib.sha256(np.asarray(squeezing).tobytes()
+                            + np.asarray(antisqueezing).tobytes()).hexdigest()
+    return [type(squeezing).__name__, type(antisqueezing).__name__,
+            list(np.shape(squeezing)), digest]
+
+
+@pytest.mark.parametrize(("name", "data", "omega"),
+                         [pytest.param(*case, id=case[0]) for case in _pinned_fits()])
+def test_fit_result_is_pinned_bit_for_bit(name, data, omega):
+    assert repr(fit_params(data, omega)) == json.loads(PINS.read_text())["fits"][name]
+
+
+@pytest.mark.parametrize("name", sorted(_pinned_spectra()))
+def test_spectra_bytes_are_pinned(name):
+    expected = json.loads(PINS.read_text())["spectra"][name]
+    assert _spectra_digest(*_pinned_spectra()[name]) == expected
+
+
+def write_pins() -> None:
+    """Record the pinned fits and ``_spectra`` digests with
+    ``PYTHONPATH=src python tests/test_opo.py``, only when the fit or the
+    model is meant to change."""
+    pins = {"fits": {name: repr(fit_params(data, omega))
+                     for name, data, omega in _pinned_fits()},
+            "spectra": {name: _spectra_digest(*args)
+                        for name, args in _pinned_spectra().items()}}
+    PINS.write_text(json.dumps(pins, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    write_pins()
