@@ -36,18 +36,19 @@ for shots in (100, 1_000, 10_000, 100_000):
 print("\nfirst three shot records (seed 7):")
 config = ProtocolConfig(SPEC, SPEC, input_alpha=ALPHA, shots=3, seed=7)
 _, records = run_monte_carlo(config)
-for j, r in enumerate(records):
-    print(f"  shot {j}: x_u = {r.x_u:+.4f}, p_v = {r.p_v:+.4f} "
-          f"-> clone means ({r.x1:+.4f}, {r.p1:+.4f})")
+# one row per field: x_u, p_v, then the clone means x1, p1, x2, p2
+for j, (x_u, p_v, x1, p1, _, _) in enumerate(records.T):
+    print(f"  shot {j}: x_u = {x_u:+.4f}, p_v = {p_v:+.4f} "
+          f"-> clone means ({x1:+.4f}, {p1:+.4f})")
 
 _, again = run_monte_carlo(config)
-print("re-run with same seed identical:", records == again)
+print("re-run with same seed identical:", np.array_equal(records, again))
 
 # Bell outcome statistics: x_u = (x_in - x_A)/sqrt(2) mixes the input
 # variance with the sender mode's thermal excess
 config = ProtocolConfig(SPEC, SPEC, input_alpha=ALPHA, shots=50_000, seed=11)
 _, records = run_monte_carlo(config)
-x_u = np.array([r.x_u for r in records])
+x_u = records[0]
 print(f"\nsampled Var(x_u) = {x_u.var(ddof=1):.4f}, "
       f"expected (0.25 + 0.75)/2 = 0.5")
 

@@ -50,8 +50,6 @@ from .protocol import (
     CloneMoments,
     ProtocolConfig,
     QuadratureMoments,
-    ShotRecord,
-    ShotRecords,
     alice_trace_levels,
     circuit_states,
     clone_output_state,

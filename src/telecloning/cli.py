@@ -328,8 +328,8 @@ def cmd_sample(args) -> int:
             with open(args.csv, "wb") as handle:
                 handle.write(b"shot,x_u,p_v,x1,p1,x2,p2\n")
                 # blocks of rows keep the formatted text small at any shot count
-                for first in range(0, len(records), _CSV_BLOCK_ROWS):
-                    block = records.columns[:, first:first + _CSV_BLOCK_ROWS].T
+                for first in range(0, records.shape[1], _CSV_BLOCK_ROWS):
+                    block = records[:, first:first + _CSV_BLOCK_ROWS].T
                     index = np.arange(first, first + len(block))
                     handle.write(_csv_rows(block, index))
         except OSError as exc:

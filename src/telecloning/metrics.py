@@ -42,7 +42,7 @@ class GainEstimates:
 
 def variance_to_db(v: float) -> float:
     """Noise level in dB relative to the vacuum variance 1/4."""
-    if v <= 0.0:
+    if not v > 0.0:  # NaN fails too
         raise ValueError("variance must be positive")
     return 10.0 * np.log10(v / VACUUM_VARIANCE)
 
@@ -59,7 +59,7 @@ def fidelity_unit_gain(var_x, var_p):
     depends only on the clone variances: F = 2 / sqrt((1+4vx)(1+4vp)).
     Elementwise over scalars or arrays.
     """
-    if np.count_nonzero((var_x <= 0.0) | (var_p <= 0.0)):
+    if not np.all((var_x > 0.0) & (var_p > 0.0)):  # NaN fails too
         raise ValueError("variances must be positive")
     return 2.0 / np.sqrt((1.0 + 4.0 * var_x) * (1.0 + 4.0 * var_p))
 

@@ -48,9 +48,7 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,59 +147,6 @@ class QuadratureMoments:
 class CloneMoments:
     clone1: QuadratureMoments
     clone2: QuadratureMoments
-
-
-@dataclass(frozen=True)
-class ShotRecord:
-    """One Monte Carlo trial: Bell outcomes and post-feedforward clone means."""
-
-    x_u: float
-    p_v: float
-    x1: float
-    p1: float
-    x2: float
-    p2: float
-
-
-class ShotRecords(Sequence):
-    """Read-only sequence of ``ShotRecord`` stored as six column arrays.
-
-    ``columns[k]`` holds field k of ``ShotRecord`` for every shot. Records
-    compare equal to another ``ShotRecords`` or to any sequence of
-    ``ShotRecord`` with the same values.
-    """
-
-    __hash__ = None
-
-    def __init__(self, columns: np.ndarray):
-        self._columns = columns.view()  # (6, shots)
-        self._columns.flags.writeable = False
-
-    @property
-    def columns(self) -> np.ndarray:
-        return self._columns
-
-    def __len__(self) -> int:
-        return self._columns.shape[1]
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return ShotRecords(self._columns[:, index])
-        return ShotRecord(*self._columns[:, index].tolist())
-
-    def __iter__(self):
-        return itertools.starmap(ShotRecord, zip(*self._columns.tolist()))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ShotRecords):
-            return bool(np.array_equal(self._columns, other._columns))
-        if isinstance(other, Sequence):
-            return len(self) == len(other) and all(
-                mine == theirs for mine, theirs in zip(self, other))
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"ShotRecords({len(self)} shots)"
 
 
 def clone_variances(config: ProtocolConfig, v_x_i, v_p_i, v_x_ii, v_p_ii):
@@ -368,7 +313,7 @@ def _simulate_shots(plan: _MeasurementPlan, seed: int, first_shot: int,
     """Shots first_shot .. first_shot + n_shots - 1 as columns.
 
     Each shot samples x_u, then p_v given x_u, then displaces. Returns the
-    (6, n_shots) ``ShotRecord`` fields and, with ``cond_sqrt``, the
+    (6, n_shots) records of ``run_monte_carlo`` and, with ``cond_sqrt``, the
     (4, n_shots) raw clone quadratures driven by draws 2-5 of each shot,
     written into ``records`` and ``draws`` when given.
     Every output is an elementwise expression of the shot's own draws
@@ -415,34 +360,25 @@ def _simulate_shots(plan: _MeasurementPlan, seed: int, first_shot: int,
     return records, draws
 
 
-def _simulate_shot(plan: _MeasurementPlan, seed: int, shot_index: int,
-                   cond_sqrt: np.ndarray | None = None
-                   ) -> tuple[ShotRecord, np.ndarray | None]:
-    """One shot, computed exactly as ``run_monte_carlo`` computes it.
-
-    Draw k of shot j comes from stream (seed, j), so results do not
-    depend on the order shots are executed in.
-    """
-    records, draws = _simulate_shots(plan, seed, shot_index, 1, cond_sqrt)
-    return ShotRecord(*records[:, 0].tolist()), None if draws is None else draws[:, 0]
-
-
 def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(matrix)
     return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
 def run_monte_carlo(config: ProtocolConfig, sampled: bool = False
-                    ) -> tuple[CloneMoments, ShotRecords]:
+                    ) -> tuple[CloneMoments, np.ndarray]:
     """Monte Carlo simulation of measurement plus feedforward.
 
     Returns estimated clone moments with standard errors and the per-shot
-    records. With ``sampled=False`` the variance estimate adds the exact
-    conditional covariance to the spread of the conditional means; with
+    records: a read-only (6, shots) float64 array whose rows are the Bell
+    outcomes x_u and p_v and the clone means x1, p1, x2 and p2. With
+    ``sampled=False`` the variance estimate adds the exact conditional
+    covariance to the spread of the conditional means; with
     ``sampled=True`` one output quadrature vector is drawn per shot and
     the moments come from those raw samples. Raises ``MemoryError`` when
     the shot records cannot be allocated, also for a shot count numpy
-    refuses as too big for any array.
+    refuses as too big for any array, and ``FloatingPointError`` when a
+    moment overflows or rounding erases the shot-to-shot spread.
     """
     plan = _measurement_plan(config)
     assert_physical(GaussianState(plan.base_mean, plan.cond_cov),
@@ -474,17 +410,23 @@ def run_monte_carlo(config: ProtocolConfig, sampled: bool = False
         var_hat = (spread if sampled else spread + cond_var).tolist()
         se_mean = np.sqrt(spread / n).tolist()
         se_var = (spread * math.sqrt(2.0 / (n - 1))).tolist()
+        # equal samples where the shots vary (between-shot variance, plus the
+        # conditional one in raw draws): rounding at large means ate the spread
+        total = plan.gain_map + plan.ffwd
+        varies = np.diag(total @ plan.sigma_q @ total.T) + (cond_var if sampled else 0.0)
+        if np.any((spread == 0.0) & (varies > 0.0)):
+            raise FloatingPointError("Monte Carlo samples are equal where the shots vary: "
+                                     "rounding at large means erased their spread")
     else:  # one shot has no spread
         var_hat, se_mean, se_var = cond_var.tolist(), [None] * 4, [None] * 4
     _require_finite("Monte Carlo clone moments", mean_hat, var_hat)
-    if min(var_hat) <= 0.0:  # equal samples: rounding at large means ate the spread
-        raise FloatingPointError(f"Monte Carlo variance estimate {min(var_hat)} is not positive")
     fields = (mean_hat, var_hat, se_mean, se_var)
 
     def quad(k):
         return QuadratureMoments(*(f[j] for f in fields for j in (2 * k, 2 * k + 1)))
 
-    return CloneMoments(quad(0), quad(1)), ShotRecords(records)
+    records.flags.writeable = False
+    return CloneMoments(quad(0), quad(1)), records
 
 
 def alice_trace_levels(config: ProtocolConfig) -> tuple[float, float]:

@@ -359,9 +359,8 @@ def test_sample_csv_matches_csv_writer_rendering(capsys, tmp_path):
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["shot", "x_u", "p_v", "x1", "p1", "x2", "p2"])
-    for j, r in enumerate(records):
-        writer.writerow([j] + ["%.12g" % v for v in
-                               (r.x_u, r.p_v, r.x1, r.p1, r.x2, r.p2)])
+    for j, r in enumerate(records.T):
+        writer.writerow([j] + ["%.12g" % v for v in r.tolist()])
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
@@ -429,7 +428,7 @@ def test_few_monte_carlo_values_take_the_python_route():
     cfg = load_config(str(CONFIGS / "paper.cfg"))
     cfg["run.shots"], cfg["run.seed"] = 100_000, 1401
     _, records = run_monte_carlo(protocol_config_from(cfg))
-    fast = _round12(records.columns.ravel())[0]
+    fast = _round12(records.ravel())[0]
     assert np.count_nonzero(~fast) < 600  # 0.1% of the 6e5 values
 
 
@@ -594,6 +593,20 @@ def test_unrepresentable_result_exits_2_without_output(capsys, tmp_path, command
     assert err.startswith("numeric error:")
 
 
+@pytest.mark.parametrize("mode", ((), ("--sampled",)))
+def test_sample_without_shot_to_shot_spread_exits_0(capsys, tmp_path, mode):
+    # no resource reaches the receivers and no gain acts: every clone mean is
+    # exactly 0, a true spread of 0, and each clone is vacuum, F = exp(-|alpha|^2)
+    path = tmp_path / "vacuum.cfg"
+    path.write_text("[input]\nalpha_re = 1\nalpha_im = 1\n"
+                    "[gains]\ngx1 = 0\ngp1 = 0\ngx2 = 0\ngp2 = 0\n"
+                    "[loss]\neta_resource_b = 0\neta_resource_c = 0\n")
+    code, out, _ = run_cli(capsys, "sample", str(path), "--shots", "16", *mode)
+    assert code == 0
+    if not mode:
+        assert json.loads(out)["fidelity"]["f_clone1"] == pytest.approx(math.exp(-2))
+
+
 @pytest.mark.parametrize("argv", (
     ("run",),
     ("sweep", "--param", "squeezing_db", "--from", "0", "--to", "3", "--steps", "5"),
@@ -626,6 +639,10 @@ def test_analytic_inf_is_a_numeric_error_not_a_path_disagreement(capsys, tmp_pat
     (("run",), "[gains]\ngx1 = 1e178\n"
                "[loss]\neta_homodyne = 1e-300\neta_resource_a = 0.0\n"),
     (("sample", "--shots", "10"), "[gains]\ngp2 = 1e160\n"),
+    # ulp(1e17) = 16: every shot's clone x mean rounds to one double, so the
+    # spread reads 0 where the shots vary
+    (("sample", "--shots", "16"), "[input]\nalpha_re = 1e17\nalpha_im = 3\n"),
+    (("sample", "--shots", "16", "--sampled"), "[input]\nalpha_re = 1e17\nalpha_im = 3\n"),
 ))
 def test_numeric_error_is_the_only_line_on_stderr(capsys, tmp_path, command, text):
     path = tmp_path / "numeric.cfg"

@@ -62,6 +62,8 @@ def test_unit_gain_measured_noise_levels():
 def test_unit_gain_rejects_nonpositive_variance():
     with pytest.raises(ValueError):
         fidelity_unit_gain(0.0, 0.5)
+    with pytest.raises(ValueError, match="variances must be positive"):
+        fidelity_unit_gain(np.nan, 1.0)
 
 
 def test_unit_gain_strictly_decreasing():
@@ -187,6 +189,8 @@ def test_db_conversions():
         assert db_to_variance(variance_to_db(v)) == pytest.approx(v, rel=1e-12)
     with pytest.raises(ValueError):
         variance_to_db(0.0)
+    with pytest.raises(ValueError, match="variance must be positive"):
+        variance_to_db(np.nan)
 
 
 def test_fidelity_general_batch_matches_single_calls_bit_for_bit():
@@ -222,3 +226,5 @@ def test_fidelity_unit_gain_elementwise():
         fidelity_unit_gain(a, b) for a, b in zip(v_x, v_p)]
     with pytest.raises(ValueError):
         fidelity_unit_gain(v_x, np.array([0.25, 0.0, 0.75]))
+    with pytest.raises(ValueError, match="variances must be positive"):
+        fidelity_unit_gain(np.array([0.5, np.nan]), np.array([0.5, 0.5]))

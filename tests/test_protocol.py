@@ -8,8 +8,6 @@ from telecloning import (
     GaussianState,
     ProtocolConfig,
     QuadratureSelector,
-    ShotRecord,
-    ShotRecords,
     SqueezerSpec,
     alice_trace_levels,
     circuit_states,
@@ -29,7 +27,6 @@ from telecloning.protocol import (
     READOUT,
     _measurement_plan,
     _psd_sqrt,
-    _simulate_shot,
     _simulate_shots,
 )
 from telecloning.config import load_config, protocol_config_from
@@ -199,7 +196,7 @@ def test_monte_carlo_matches_analytic():
     config = optimal_config(shots=30_000, seed=123)
     mc, records = run_monte_carlo(config)
     ana = run_circuit_analytic(config)
-    assert len(records) == 30_000
+    assert records.shape == (6, 30_000)
     for est, truth in ((mc.clone1, ana.clone1), (mc.clone2, ana.clone2)):
         assert abs(est.mean_x - truth.mean_x) < 5 * est.se_mean_x
         assert abs(est.mean_p - truth.mean_p) < 5 * est.se_mean_p
@@ -233,9 +230,9 @@ def test_monte_carlo_seed_determinism():
     config = optimal_config(shots=500, seed=9)
     _, r1 = run_monte_carlo(config)
     _, r2 = run_monte_carlo(config)
-    assert r1 == r2
+    assert np.array_equal(r1, r2)
     _, r3 = run_monte_carlo(dataclasses.replace(config, seed=10))
-    assert r1 != r3
+    assert not np.array_equal(r1, r3)
 
 
 def test_monte_carlo_order_independent():
@@ -243,9 +240,9 @@ def test_monte_carlo_order_independent():
     config = optimal_config(shots=64, seed=5)
     _, records = run_monte_carlo(config)
     plan = _measurement_plan(config)
-    shuffled = [_simulate_shot(plan, config.seed, j)[0]
+    shuffled = [_simulate_shots(plan, config.seed, j, 1)[0][:, 0]
                 for j in reversed(range(64))]
-    assert records == list(reversed(shuffled))
+    assert np.array_equal(records, np.column_stack(shuffled[::-1]))
 
 
 def test_monte_carlo_agrees_with_measurement_operations():
@@ -258,22 +255,22 @@ def test_monte_carlo_agrees_with_measurement_operations():
     detected = circuit_states(config)["detected"]
     scale = np.sqrt(2.0 / config.eta_homodyne)
     gx1, gp1, gx2, gp2 = config.gains
-    for j, rec in enumerate(records):
+    for j, rec in enumerate(records.T):
         rng = shot_stream(config.seed, j)
         out_x, st = sample_homodyne(detected, QuadratureSelector(1, "x"), rng)
         out_p, st = sample_homodyne(st, QuadratureSelector(0, "p"), rng)
         st = displace(st, 0, scale * gx1 * out_x, scale * gp1 * out_p)
         st = displace(st, 1, scale * gx2 * out_x, scale * gp2 * out_p)
-        assert rec.x_u == pytest.approx(out_x, abs=1e-12)
-        assert rec.p_v == pytest.approx(out_p, abs=1e-12)
-        assert np.allclose([rec.x1, rec.p1, rec.x2, rec.p2], st.mean, atol=1e-10)
+        assert rec[0] == pytest.approx(out_x, abs=1e-12)
+        assert rec[1] == pytest.approx(out_p, abs=1e-12)
+        assert np.allclose(rec[2:], st.mean, atol=1e-10)
 
 
 def test_bell_outcome_distribution():
     # sampled x_u variance matches (Var(x_in) + Var(x_A)) / 2
     config = optimal_config(shots=30_000, seed=13)
     _, records = run_monte_carlo(config)
-    x_u = np.array([r.x_u for r in records])
+    x_u = records[0]
     joint = circuit_states(config)["joint"]
     expect = 0.5 * (joint.cov[0, 0] + joint.cov[2, 2])
     se = expect * np.sqrt(2.0 / (len(x_u) - 1))
@@ -289,7 +286,7 @@ def test_monte_carlo_estimator_matches_per_mode_reference(shots, sampled):
     moments, records = run_monte_carlo(config, sampled=sampled)
     plan = _measurement_plan(config)
     cond_var = np.diag(plan.cond_cov)
-    means = records.columns[2:]
+    means = records[2:]
     if sampled:
         _, draws = _simulate_shots(plan, config.seed, 0, shots, _psd_sqrt(plan.cond_cov))
         mean_hat = draws.mean(axis=1)
@@ -315,7 +312,7 @@ def test_monte_carlo_estimator_matches_per_mode_reference(shots, sampled):
 
 def test_single_shot_run_is_valid():
     moments, records = run_monte_carlo(optimal_config(shots=1, seed=1))
-    assert len(records) == 1
+    assert records.shape == (6, 1)
     assert moments.clone1.se_mean_x is None  # spread undefined from one shot
     assert moments.clone1.var_x > 0
 
@@ -358,7 +355,7 @@ def test_records_are_prefixes_across_chunks(sampled):
     for n in (1, _CHUNK_SHOTS - 1, _CHUNK_SHOTS + 2):
         _, prefix = run_monte_carlo(dataclasses.replace(longer, shots=n),
                                     sampled=sampled)
-        assert records[:n] == prefix
+        assert np.array_equal(records[:, :n], prefix)
 
 
 def test_sampled_mode_keeps_records_and_draws_per_shot():
@@ -367,31 +364,22 @@ def test_sampled_mode_keeps_records_and_draws_per_shot():
                             shots=40, seed=17)
     _, plain = run_monte_carlo(config)
     _, sampled = run_monte_carlo(config, sampled=True)
-    assert plain == sampled
+    assert np.array_equal(plain, sampled)
     plan = _measurement_plan(config)
     cond_sqrt = _psd_sqrt(plan.cond_cov)
     records, draws = _simulate_shots(plan, config.seed, 0, 40, cond_sqrt)
     for j in (0, 17, 39):
-        record, drawn = _simulate_shot(plan, config.seed, j, cond_sqrt)
-        assert record == ShotRecord(*records[:, j])
-        assert np.array_equal(drawn, draws[:, j])
+        record, drawn = _simulate_shots(plan, config.seed, j, 1, cond_sqrt)
+        assert np.array_equal(record[:, 0], records[:, j])
+        assert np.array_equal(drawn[:, 0], draws[:, j])
 
 
 def test_shot_records_sequence():
+    # one read-only float64 row per field: x_u, p_v, x1, p1, x2, p2
     _, records = run_monte_carlo(optimal_config(shots=5, seed=2))
-    assert isinstance(records, ShotRecords)
-    assert len(records) == 5
-    as_list = list(records)
-    assert all(isinstance(r, ShotRecord) for r in as_list)
-    assert records[-1] == as_list[4] and records[1] == as_list[1]
-    assert (records == as_list) is True and (as_list == records) is True
-    assert records != as_list[:4]
-    assert records.columns.shape == (6, 5)
-    assert records.columns[0, 3] == as_list[3].x_u
+    assert records.shape == (6, 5) and records.dtype == np.float64
     with pytest.raises(ValueError):
-        records.columns[0, 0] = 1.0
-    with pytest.raises(IndexError):
-        records[5]
+        records[0, 0] = 1.0
 
 
 def test_config_keeps_one_read_only_resource():
