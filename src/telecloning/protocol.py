@@ -86,6 +86,11 @@ _SENDER_SPLITTER = symplectic_map(4, beam_splitter_50_50(), [MODE_IN, MODE_A])
 # 1e5-shot runs on a 2-core x86 host timed flat from 2**12 to 2**14 shots
 # per chunk and slower at 2**16, and 2**13 sits in that flat range
 _CHUNK_SHOTS = 1 << 13
+# the largest float spacing of a Monte Carlo sample, relative to the standard
+# deviation its shots should show, that the moments accept: rounding moves
+# each sample by at most half its spacing, so a variance by at most about
+# 1e-3 of itself, below the 0.45% sampling error of a 1e5-shot variance
+_SAMPLE_RESOLUTION = 1e-3
 
 
 @dataclass(frozen=True)
@@ -378,7 +383,8 @@ def run_monte_carlo(config: ProtocolConfig, sampled: bool = False
     the moments come from those raw samples. Raises ``MemoryError`` when
     the shot records cannot be allocated, also for a shot count numpy
     refuses as too big for any array, and ``FloatingPointError`` when a
-    moment overflows or rounding erases the shot-to-shot spread.
+    moment overflows or when the samples' float spacing is too coarse for
+    the shot-to-shot spread they should show.
     """
     plan = _measurement_plan(config)
     assert_physical(GaussianState(plan.base_mean, plan.cond_cov),
@@ -410,13 +416,16 @@ def run_monte_carlo(config: ProtocolConfig, sampled: bool = False
         var_hat = (spread if sampled else spread + cond_var).tolist()
         se_mean = np.sqrt(spread / n).tolist()
         se_var = (spread * math.sqrt(2.0 / (n - 1))).tolist()
-        # equal samples where the shots vary (between-shot variance, plus the
-        # conditional one in raw draws): rounding at large means ate the spread
+        # samples spaced too coarsely for the spread the shots should show
+        # (between-shot variance, plus the conditional one in raw draws):
+        # rounding at large means ate some or all of the spread
         total = plan.gain_map + plan.ffwd
         varies = np.diag(total @ plan.sigma_q @ total.T) + (cond_var if sampled else 0.0)
-        if np.any((spread == 0.0) & (varies > 0.0)):
-            raise FloatingPointError("Monte Carlo samples are equal where the shots vary: "
-                                     "rounding at large means erased their spread")
+        peak = np.maximum(samples.max(axis=1), -samples.min(axis=1))
+        if np.any((varies > 0.0)
+                  & (np.spacing(peak) > _SAMPLE_RESOLUTION * np.sqrt(varies))):
+            raise FloatingPointError("Monte Carlo samples are too coarse for their spread: "
+                                     "rounding at large means erased it")
     else:  # one shot has no spread
         var_hat, se_mean, se_var = cond_var.tolist(), [None] * 4, [None] * 4
     _require_finite("Monte Carlo clone moments", mean_hat, var_hat)

@@ -21,7 +21,7 @@ from helpers import (
     reference_serialize_config,
     reference_spectra,
 )
-from telecloning.cli import _CSV_BLOCK_ROWS, _csv_rows, _emit, _round12, main
+from telecloning.cli import _CSV_BLOCK_ROWS, _emit, main
 from telecloning.config import (
     ConfigError,
     load_config,
@@ -30,6 +30,7 @@ from telecloning.config import (
     protocol_config_from,
     serialize_config,
 )
+from telecloning.csvtext import _round12, csv_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -371,6 +372,14 @@ def _percent_rows(values, index=None) -> bytes:
                    for head, row in zip(lead, values.tolist())).encode("ascii")
 
 
+def _decimal_near_ties() -> list:
+    """Decimal ties that binary cannot hold: the nearest double lies just
+    off the tie, and a scaled value may round onto it."""
+    return [float(f"{digits}5e{x}") for digits in ("1.23456789012", "3.14159265358",
+                                                   "7.00000000000", "9.99999999999")
+            for x in range(-12, 35)]
+
+
 def _float_edges() -> np.ndarray:
     tens = np.array([float(f"1e{k}") for k in range(-330, 309)])
     ties = [1e12 + 0.5, 999999999999.5, 123456789012.5, 1e15 + 5e3, 1e15 + 15e3,
@@ -380,15 +389,10 @@ def _float_edges() -> np.ndarray:
     trailing_zeros = [10.0, 100.0, 1e5, 1e11, 120.0, 1200000.0, 0.1, 0.5, 2.5, 1e-4]
     switch = [1e-5, 9.99999999999e-5, 9.999999999995e-5, 0.0001, 999999999999.4, 1e12,
               99999999999.9, 123456789012.0, 1234567890123.0, 1e-11, 9.99e33, 1e34]
-    # decimal ties that binary cannot hold: the nearest double lies just
-    # off the tie, and a scaled value may round onto it
-    near_ties = [float(f"{digits}5e{x}") for digits in ("1.23456789012", "3.14159265358",
-                                                        "7.00000000000", "9.99999999999")
-                 for x in range(-12, 35)]
     special = [0.0, math.inf, math.nan, 5e-324, 1e-310, 2.2250738585072009e-308,
                2.2250738585072014e-308, 1.7976931348623157e308]
     values = np.concatenate((tens, np.nextafter(tens, np.inf), np.nextafter(tens, -np.inf),
-                             ties, round_up, trailing_zeros, switch, near_ties, special))
+                             ties, round_up, trailing_zeros, switch, _decimal_near_ties(), special))
     return np.concatenate((values, -values))
 
 
@@ -398,8 +402,8 @@ def test_csv_rows_write_the_bytes_of_percent_on_edge_values():
     # a shot index at every digit-count boundary up to 2**63 - 1
     index = np.resize([0, 2**63 - 1] + [10**k + d for k in range(1, 19) for d in (-1, 0)],
                       len(rows)).astype(np.int64)
-    assert _csv_rows(rows, index) == _percent_rows(rows, index)
-    assert _csv_rows(rows) == _percent_rows(rows)
+    assert csv_rows(rows, index) == _percent_rows(rows, index)
+    assert csv_rows(rows) == _percent_rows(rows)
 
 
 _FLOAT64 = (st.floats(width=64)
@@ -418,18 +422,68 @@ def test_csv_rows_write_the_bytes_of_percent(rows, with_index, data):
     if with_index:
         index = np.array(data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=len(rows),
                                             max_size=len(rows))), dtype=np.int64)
-    assert _csv_rows(values, index) == _percent_rows(values, index)
+    assert csv_rows(values, index) == _percent_rows(values, index)
 
 
 def test_few_monte_carlo_values_take_the_python_route():
-    # the vectorised writer's speed rests on this share: the near-ties it
-    # leaves to Python are 5e-4 of uniformly spread digits (301 here)
+    # the vectorised writer's speed rests on this share: the values it
+    # leaves to Python are the scaled values exactly at a half (41 here)
     from telecloning import run_monte_carlo
     cfg = load_config(str(CONFIGS / "paper.cfg"))
     cfg["run.shots"], cfg["run.seed"] = 100_000, 1401
     _, records = run_monte_carlo(protocol_config_from(cfg))
-    fast = _round12(records.ravel())[0]
-    assert np.count_nonzero(~fast) < 600  # 0.1% of the 6e5 values
+    slow = _round12(records.ravel())[2]
+    assert np.count_nonzero(slow) < 82  # twice the count, 1.4e-4 of the 6e5 values
+
+
+def _scaled(values: np.ndarray) -> np.ndarray:
+    """|v| * 10**(11 - e) with one correctly rounded multiply or divide."""
+    exponent = [int(("%.11e" % v).split("e")[1]) for v in values.tolist()]
+    up = np.array([float(10 ** max(11 - e, 0)) for e in exponent])
+    return np.abs(values) * up / np.array([float(10 ** max(e - 11, 0)) for e in exponent])
+
+
+def test_round12_leaves_exact_halves_to_python():
+    # each scaled value is exactly n + 1/2: e = 11, 12 (a divide), 10, 9
+    halves = np.array([123456789012.5, 1234567890125.0, 12345678901.25, 1234567890.125])
+    halves = np.concatenate((halves, -halves))
+    assert np.all(np.modf(_scaled(halves))[0] == 0.5)
+    assert _round12(halves)[2].all()
+    assert csv_rows(halves[:, None]) == _percent_rows(halves[:, None])
+
+
+def test_round12_decides_every_decimal_near_tie_off_a_half():
+    # one correctly rounded scaling is monotone and half-integers below 2**52
+    # are doubles, so a scaled value off every half rounds as the exact
+    # product does: only those that land on a half go to Python
+    # (the 9.99999999999 ties round up to a power of ten, and exponents
+    # outside -11..33 have no table: both go to Python for other reasons)
+    values = np.array([v for v in _decimal_near_ties() if -11 <= math.floor(math.log10(v)) <= 33
+                       and not ("%.11e" % v).startswith("1.00000000000")])
+    values = np.concatenate((values, -values))
+    key, digits, slow = _round12(values)
+    on_half = np.modf(_scaled(values))[0] == 0.5
+    assert np.array_equal(slow, on_half)
+    assert 0 < np.count_nonzero(on_half) < values.size
+    expected = [int(("%.11e" % v).split("e")[0].replace(".", "").lstrip("-")) for v in values]
+    assert np.array_equal(digits[~slow], np.array(expected)[~slow])
+
+
+def test_writer_bytes_are_the_same_without_avx512():
+    # numpy picks its SIMD loops by CPU at import; rerun the CSV byte-equality
+    # tests in a process held to the loops below AVX-512
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = subprocess.run([sys.executable, "-W", "error", "-c", "import numpy"], env=env,
+                           capture_output=True, text=True, timeout=120)
+    if probe.returncode:
+        pytest.skip("numpy refuses NPY_DISABLE_CPU_FEATURES on this host: "
+                    + (probe.stderr.strip().splitlines() or ["no message"])[-1])
+    result = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                             __file__, "-k", "csv or percent or python_route or round12"],
+                            env=env, cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stdout[-3000:]
+    assert result.stdout.splitlines()[-1].startswith("8 passed")
 
 
 @pytest.mark.parametrize("param, start, stop", (
@@ -591,6 +645,27 @@ def test_unrepresentable_result_exits_2_without_output(capsys, tmp_path, command
     assert code == 2
     assert out == ""
     assert err.startswith("numeric error:")
+
+
+@pytest.mark.parametrize("mode", ((), ("--sampled",)))
+@pytest.mark.parametrize("alpha_re", ("1e16", "1e12"))
+def test_sample_rejects_samples_too_coarse_for_their_spread(capsys, tmp_path, mode, alpha_re):
+    # ulp(1e16) = 2 quantises each clone x sample more coarsely than its spread
+    # (var_x 0.61): the moments read 0.41 plain and 0.38 sampled, while at
+    # 1e12 the spacing is 1.2e-4 and the moments match the analytic route
+    text = (CONFIGS / "paper.cfg").read_text().replace("alpha_re = 5.0", f"alpha_re = {alpha_re}")
+    path = tmp_path / "large.cfg"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "sample", str(path), "--shots", "20000", *mode)
+    if alpha_re == "1e16":
+        assert (code, out) == (2, "")
+        assert err.startswith("numeric error: Monte Carlo samples are too coarse")
+        return
+    assert code == 0
+    estimate = json.loads(out)["clone_moments"]["clone1"]
+    from telecloning import run_analytic
+    exact = run_analytic(protocol_config_from(load_config(str(path)))).clone1
+    assert abs(estimate["var_x"] - exact.var_x) < 5 * estimate["se_var_x"]
 
 
 @pytest.mark.parametrize("mode", ((), ("--sampled",)))
