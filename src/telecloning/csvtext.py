@@ -14,13 +14,11 @@ _SEP = _U64(ord(",") << 56)  # the last byte of a field's last word
 _APART = _U64(1 << 63)  # marks the prefix of a key laid out apart
 _BYTE_MASK = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)  # k bytes
 
-# A value's key is 2 * p + (value < 0), p indexing _EXPONENTS: the exponents
-# -11..33 that one exact power of ten scales to 12 digits, from 4 (a point
-# past group 0) and from 12 (a divide) last, so that one maximum clears a
-# block of both. -4, -3 and %e form are laid out apart from the others.
-_EXPONENTS = np.r_[-4:4, -11:-4, 4:34]
-_EXP, _NEG = np.repeat(_EXPONENTS, 2), np.tile([0, 1], _EXPONENTS.size)
-_LATE, _DIVIDE = 2 * 15, 2 * 23  # the first keys of exponents 4 and 12
+# A value's key is 2 * (e + 11) + (value < 0) for its exponent e in -11..33,
+# those that one exact power of ten scales to 12 digits. -4, -3 and %e form
+# are laid out apart from the others.
+_EXP = np.repeat(np.arange(-11, 34), 2)
+_NEG = np.tile([0, 1], _EXP.size // 2)
 _FIXED = (_EXP >= -4) & (_EXP < 12)  # %f form
 _SCALE = np.array([float(10 ** abs(11 - e)) for e in _EXP.tolist()])
 _SCALE_UP = np.where(_EXP <= 11, _SCALE, 1.0) * np.where(_NEG, -1.0, 1.0)
@@ -41,8 +39,7 @@ _SUFFIX = np.array([0 if f else int.from_bytes(b"e%+03d" % e, "little")
 _e0 = np.floor(np.log10(np.ldexp(1.0, np.arange(-1022, 1024)))).astype(np.intp)
 _steps = (_e0 >= -11) & (_e0 <= 32)
 _KEY = np.zeros((2, 2048, 2), dtype=np.intp) + [[[0]], [[1]]]
-_KEY[:, 1:2047] += 2 * np.argsort(_EXPONENTS)[np.clip(np.stack((_e0, _e0 + _steps), 1),
-                                                       -11, 33) + 11]
+_KEY[:, 1:2047] += 2 * (np.clip(np.stack((_e0, _e0 + _steps), 1), -11, 33) + 11)
 _POWERS = np.array([float(f"1e{k}") for k in range(-10, 34)])
 _REACH = np.full((2, 2048), 2**64 - 1, dtype=np.uint64)
 _REACH[:, 1:2047][:, _steps] = (_POWERS[_e0[_steps] + 11].view(np.uint64)
@@ -84,8 +81,7 @@ def _round12(values: np.ndarray) -> tuple:
     top = bits >> _U64(52)
     key = _KEY.take(top << _U64(1) | (bits >= _REACH.take(top)))
     half = values * _SCALE_UP.take(key)
-    if key.max(initial=0) >= _DIVIDE:
-        half /= _SCALE_DOWN.take(key)
+    half /= _SCALE_DOWN.take(key)
     half += 0.5
     digits = np.floor(half)
     tie = digits == half
@@ -104,10 +100,7 @@ def _float_words(values: np.ndarray) -> np.ndarray:
     digits -= q0 * 100_000_000
     q1 = digits // 10_000
     q2 = digits - q1 * 10_000
-    # below exponent 4 the point, if any, is in group 0, and groups 1 and 2 hold digits
-    late = key.max(initial=0) >= _LATE
-    modes = _MODE.take(key, 1) if late else (_MODE[0].take(key), 0, _DIGITS4.size)
-    slot = [_SLOT.take(q + m, mode="clip") for q, m in zip((q0, q1, q2), modes)]
+    slot = [_SLOT.take(q + m, mode="clip") for q, m in zip((q0, q1, q2), _MODE.take(key, 1))]
     rare = np.flatnonzero(q2 == 0)
     for g in (1, 0):  # strip the group too where every later group is 0
         slot[g][rare] = _SLOT.take((q0, q1)[g][rare] + _MODE_STRIP[g, key[rare]], mode="clip")

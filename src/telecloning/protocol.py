@@ -86,10 +86,10 @@ _SENDER_SPLITTER = symplectic_map(4, beam_splitter_50_50(), [MODE_IN, MODE_A])
 # 1e5-shot runs on a 2-core x86 host timed flat from 2**12 to 2**14 shots
 # per chunk and slower at 2**16, and 2**13 sits in that flat range
 _CHUNK_SHOTS = 1 << 13
-# the largest float spacing of a Monte Carlo sample, relative to the standard
-# deviation its shots should show, that the moments accept: rounding moves
-# each sample by at most half its spacing, so a variance by at most about
-# 1e-3 of itself, below the 0.45% sampling error of a 1e5-shot variance
+# the largest rounding error of a reported Monte Carlo variance, relative to
+# that variance, that the moments accept: rounding moves each sample by at
+# most half its spacing s, so a spread of variance v by at most about
+# s * (sqrt(v) + s); 1e-3 is below the 0.45% sampling error of 1e5 shots
 _SAMPLE_RESOLUTION = 1e-3
 
 
@@ -410,20 +410,24 @@ def run_monte_carlo(config: ProtocolConfig, sampled: bool = False
     mean_hat = mean.tolist()
     cond_var = np.diag(plan.cond_cov)
     if n > 1:
-        dev = samples - mean[:, None]
+        peak = np.maximum(samples.max(axis=1), -samples.min(axis=1))
+        # the raw draws are not returned: their deviations may overwrite them
+        dev = np.subtract(samples, mean[:, None], out=draws)
         dev *= dev
         spread = dev.sum(axis=1) / (n - 1)
         var_hat = (spread if sampled else spread + cond_var).tolist()
         se_mean = np.sqrt(spread / n).tolist()
         se_var = (spread * math.sqrt(2.0 / (n - 1))).tolist()
         # samples spaced too coarsely for the spread the shots should show
-        # (between-shot variance, plus the conditional one in raw draws):
-        # rounding at large means ate some or all of the spread
+        # (between-shot variance, plus the conditional one in raw draws),
+        # measured against the variance reported (plus the exact conditional
+        # one in plain mode): rounding at large means ate some or all of it
         total = plan.gain_map + plan.ffwd
         varies = np.diag(total @ plan.sigma_q @ total.T) + (cond_var if sampled else 0.0)
-        peak = np.maximum(samples.max(axis=1), -samples.min(axis=1))
-        if np.any((varies > 0.0)
-                  & (np.spacing(peak) > _SAMPLE_RESOLUTION * np.sqrt(varies))):
+        reported = varies if sampled else varies + cond_var
+        coarse = np.spacing(peak)
+        if np.any((varies > 0.0) & (coarse * (np.sqrt(varies) + coarse)
+                                    > _SAMPLE_RESOLUTION * reported)):
             raise FloatingPointError("Monte Carlo samples are too coarse for their spread: "
                                      "rounding at large means erased it")
     else:  # one shot has no spread

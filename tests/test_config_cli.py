@@ -669,6 +669,25 @@ def test_sample_rejects_samples_too_coarse_for_their_spread(capsys, tmp_path, mo
 
 
 @pytest.mark.parametrize("mode", ((), ("--sampled",)))
+@pytest.mark.parametrize("gain, alpha_re", (("1e-13", "5"), ("0.01", "1e14")))
+def test_sample_accepts_rounding_small_against_the_reported_variance(capsys, tmp_path, mode,
+                                                                    gain, alpha_re):
+    # no resource reaches the receivers: the shots vary by gain**2 / 2 and
+    # the plain variance adds the conditional 0.25, which rounding at
+    # ulp(1.4e12) = 2.4e-4 moves by less than 1e-3 of itself
+    path = tmp_path / "small_gain.cfg"
+    path.write_text(f"[input]\nalpha_re = {alpha_re}\nalpha_im = 3\n"
+                    f"[gains]\ngx1 = {gain}\ngp1 = {gain}\ngx2 = {gain}\ngp2 = {gain}\n"
+                    "[loss]\neta_resource_b = 0\neta_resource_c = 0\n")
+    code, out, _ = run_cli(capsys, "sample", str(path), "--shots", "20000", *mode)
+    assert code == 0
+    estimate = json.loads(out)["clone_moments"]["clone1"]
+    from telecloning import run_analytic
+    exact = run_analytic(protocol_config_from(load_config(str(path)))).clone1
+    assert abs(estimate["var_x"] - exact.var_x) < 5 * estimate["se_var_x"] + 1e-3 * exact.var_x
+
+
+@pytest.mark.parametrize("mode", ((), ("--sampled",)))
 def test_sample_without_shot_to_shot_spread_exits_0(capsys, tmp_path, mode):
     # no resource reaches the receivers and no gain acts: every clone mean is
     # exactly 0, a true spread of 0, and each clone is vacuum, F = exp(-|alpha|^2)
