@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, load_config, opo_params_from, protocol_config_from
+from .csvtext import csv_rows
 from .gaussian import PhysicalityError
 from .homodyne import RNG_CONTRACT
 from .metrics import (
@@ -156,7 +157,6 @@ def cmd_sample(args) -> int:
     config = protocol_config_from(cfg)
     moments, records = run_monte_carlo(config, args.sampled)
     if args.csv:
-        from .csvtext import csv_rows  # its tables are built for CSV output only
         try:
             with open(args.csv, "wb") as handle:
                 handle.write(b"shot,x_u,p_v,x1,p1,x2,p2\n")
@@ -232,7 +232,6 @@ def cmd_sweep(args) -> int:
     if not np.isfinite(columns).all():
         raise FloatingPointError("sweep result is not finite")
 
-    from .csvtext import csv_rows
     sys.stdout.write("param_value,squeezing_db,antisqueezing_db,"
                      "var_x_clone,var_p_clone,fidelity\n")
     for first in range(0, grid.size, _CSV_BLOCK_ROWS):
