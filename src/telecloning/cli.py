@@ -19,27 +19,17 @@ from .config import ConfigError, load_config, opo_params_from, protocol_config_f
 from .csvtext import csv_rows
 from .gaussian import PhysicalityError
 from .homodyne import RNG_CONTRACT
-from .metrics import (
-    UndefinedGainError,
-    estimate_gains,
-    fidelity_general,
-    fidelity_report,
-)
-from .opo import OPOParams, pump_spectra
+from .metrics import UndefinedGainError, estimate_gains, fidelity_report
+from .opo import pump_spectra
 from .protocol import (
     CloneMoments,
     ProtocolConfig,
-    clone_variances,
+    clone_curve,
     run_analytic,
     run_circuit_analytic,
     run_monte_carlo,
 )
-from .resource import (
-    bipartite_criterion_lhs,
-    clone_pair_criterion_lhs,
-    optimal_squeezing,
-    squeezer_variances,
-)
+from .resource import bipartite_criterion_lhs, clone_pair_criterion_lhs, optimal_squeezing
 
 PATH_AGREEMENT_TOL = 1e-9
 # Rows per block of the sweep's computation and of both CSV writers. Median
@@ -178,28 +168,6 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _sweep_block(config: ProtocolConfig, params: OPOParams | None,
-                 values: np.ndarray) -> np.ndarray:
-    """Columns 1-5 of the sweep CSV for one block of grid values.
-
-    ``params`` is None for a squeezing sweep (pure squeezers at each value)
-    and the OPO model for a pump sweep. Both squeezers take the same spec.
-    """
-    if params is None:
-        levels = (values, values)
-    else:
-        levels = pump_spectra(params, values)
-    v_sq, v_anti = squeezer_variances(*levels)
-    var_x, var_p, _, _ = clone_variances(config, v_anti, v_sq, v_sq, v_anti)
-    alpha = config.input_alpha
-    mean = np.broadcast_to((config.gains[0] * alpha.real,
-                            config.gains[1] * alpha.imag), (values.size, 2))
-    cov = np.zeros((values.size, 2, 2))
-    cov[:, 0, 0], cov[:, 1, 1] = var_x, var_p
-    fidelity = fidelity_general(mean, cov, alpha)
-    return np.stack((*levels, var_x, var_p, fidelity))
-
-
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     config = protocol_config_from(cfg)
@@ -222,8 +190,12 @@ def cmd_sweep(args) -> int:
     with np.errstate(over="raise", invalid="raise"):
         for first in range(0, grid.size, _CSV_BLOCK_ROWS):
             block = slice(first, first + _CSV_BLOCK_ROWS)
+            values = grid[block]
             try:
-                columns[:, block] = _sweep_block(config, params, grid[block])
+                # both squeezers take the same levels: pure at a squeezing
+                # value, the OPO model's at a pump power
+                levels = (values, values) if params is None else pump_spectra(params, values)
+                columns[:, block] = (*levels, *clone_curve(config, *levels))
             except ValueError as exc:
                 if exc.__class__ is ValueError:
                     raise ConfigError(f"--param {args.param}: {exc}") from exc

@@ -82,7 +82,7 @@ def fidelity_general(mean, cov, alpha: complex):
     mean = np.asarray(mean, dtype=float).reshape(batch + (2,))
     if not _is_symmetric(cov):
         raise ValueError("clone covariance is not symmetric")
-    if np.linalg.eigvalsh(cov).min() <= 0.0:
+    if np.linalg.eigvalsh(cov).min(initial=np.inf) <= 0.0:  # an empty batch passes
         raise ValueError("clone covariance is not positive definite")
     sigma = cov + VACUUM_VARIANCE * np.eye(2)
     delta = mean - np.array([alpha.real, alpha.imag])

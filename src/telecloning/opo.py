@@ -15,8 +15,9 @@ curve shapes and bounds, not any particular measured data points.
 The model is written once, in ``_spectra``, as an elementwise expression
 that allocates each full-size dB array once and finishes it in place:
 ``squeezing_spectra`` evaluates it at one pump, ``pump_spectra`` over an
-array of pumps, and ``fidelity_vs_pump`` and ``fit_params`` run each of
-their grids as one array call.
+array of pumps, and ``fit_params`` runs each of its grids as one array
+call. ``fidelity_vs_pump`` is the sweep's ``protocol.clone_curve`` at
+unit gain and alpha = 0, over the levels of one ``pump_spectra`` call.
 
 ``fit_params`` solves the bounded least-squares problem with one
 Levenberg–Marquardt loop (D. W. Marquardt, SIAM J. Appl. Math. 11, 431
@@ -37,9 +38,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .metrics import fidelity_unit_gain
-from .protocol import ProtocolConfig, clone_variances
-from .resource import SqueezerSpec, squeezer_variances
+from .protocol import ProtocolConfig, clone_curve
+from .resource import SqueezerSpec
 
 
 @dataclass(frozen=True)
@@ -146,15 +146,14 @@ def squeezing_spectra(params: OPOParams, p_pump_mw: float) -> SqueezerSpec:
 def fidelity_vs_pump(params: OPOParams, pump_grid_mw: Sequence[float]) -> np.ndarray:
     """Expected unit-gain clone fidelity over a pump-power grid.
 
-    Both squeezers are assumed identical. Returns an array of rows
-    (p_pump_mw, fidelity).
+    Both squeezers are assumed identical: the fidelity column of the
+    sweep's ``clone_curve`` at unit gain and alpha = 0. Returns an array of
+    rows (p_pump_mw, fidelity).
     """
     pump = np.asarray(pump_grid_mw, dtype=float).reshape(-1)
-    v_sq, v_anti = squeezer_variances(*pump_spectra(params, pump))
-    vacuum = SqueezerSpec(0.0, 0.0)  # clone_variances reads no spec
-    var_x, var_p, _, _ = clone_variances(ProtocolConfig(vacuum, vacuum),
-                                         v_anti, v_sq, v_sq, v_anti)
-    return np.column_stack([pump, fidelity_unit_gain(var_x, var_p)])
+    vacuum = SqueezerSpec(0.0, 0.0)  # clone_curve reads no spec
+    fidelity = clone_curve(ProtocolConfig(vacuum, vacuum), *pump_spectra(params, pump))[2]
+    return np.column_stack([pump, fidelity])
 
 
 @dataclass(frozen=True)

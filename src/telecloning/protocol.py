@@ -12,7 +12,8 @@ The same physics is evaluated by three routes that must agree:
     (coherent input, the two squeezer outputs, the internal vacuum, and
     one loss ancilla per imperfection) and sums coefficient^2 * variance.
     ``clone_variances`` is that sum, elementwise over arrays of squeezer
-    variances.
+    variances; ``clone_curve`` is the sweep's use of it, clone 1's
+    variances and fidelity with both squeezers at each dB pair.
 
 ``run_circuit_analytic``
     Compiles the network into Gaussian channels (X, Y) from the generic
@@ -67,11 +68,11 @@ from .gaussian import (
 from .homodyne import (
     QuadratureSelector,
     conditional,
-    marginal,
     shot_normals,
     shot_stream,  # re-exported: draws shot j's normals one at a time
 )
-from .resource import SqueezerSpec, build_telecloning_resource
+from .metrics import fidelity_general
+from .resource import SqueezerSpec, build_telecloning_resource, squeezer_variances
 
 # mode layout of the joint state before the sender's beam splitter
 MODE_IN, MODE_A, MODE_B, MODE_C = 0, 1, 2, 3
@@ -197,6 +198,21 @@ def clone_variances(config: ProtocolConfig, v_x_i, v_p_i, v_x_ii, v_p_ii):
         ) from exc
 
 
+def clone_curve(config: ProtocolConfig, squeezing_db, antisqueezing_db):
+    """Clone 1's ``(var_x, var_p, fidelity)`` with both squeezers at each
+    (squeezing_db, antisqueezing_db) pair, as arrays of the levels' shape;
+    every other parameter comes from ``config``. ``squeezer_variances``
+    checks the levels."""
+    v_sq, v_anti = squeezer_variances(squeezing_db, antisqueezing_db)
+    var_x, var_p, _, _ = clone_variances(config, v_anti, v_sq, v_sq, v_anti)
+    alpha = config.input_alpha
+    mean = np.broadcast_to((config.gains[0] * alpha.real,
+                            config.gains[1] * alpha.imag), np.shape(var_x) + (2,))
+    cov = np.zeros(np.shape(var_x) + (2, 2))
+    cov[..., 0, 0], cov[..., 1, 1] = var_x, var_p
+    return var_x, var_p, fidelity_general(mean, cov, alpha)
+
+
 def run_analytic(config: ProtocolConfig) -> CloneMoments:
     """Clone moments from the direct mode expansion."""
     var_x1, var_p1, var_x2, var_p2 = clone_variances(
@@ -245,8 +261,8 @@ class _MeasurementPlan:
 
     For outcome vector m = (x_u, p_v) of ``READOUT``:
 
-        clone means = base_mean + gain_map (m - mu_q) + ffwd m
-        clone cov   = cond_cov + (gain_map + ffwd) sigma_q (gain_map + ffwd)^T
+        clone means = base_mean + gain_map (m - mu_q) + ffwd m = offset + total m
+        clone cov   = cond_cov + spread
     """
 
     base_mean: np.ndarray   # (4,)  pre-measurement means of (xB, pB, xC, pC)
@@ -255,6 +271,9 @@ class _MeasurementPlan:
     gain_map: np.ndarray    # (4,2) conditional-mean response to outcomes
     ffwd: np.ndarray        # (4,2) feedforward displacement map
     cond_cov: np.ndarray    # (4,4) outcome-independent conditional covariance
+    total: np.ndarray       # (4,2) gain_map + ffwd
+    offset: np.ndarray      # (4,)  base_mean - gain_map mu_q
+    spread: np.ndarray      # (4,4) total sigma_q total^T, the clone means' covariance
 
 
 def _measurement_plan(config: ProtocolConfig) -> _MeasurementPlan:
@@ -266,14 +285,13 @@ def _measurement_plan(config: ProtocolConfig) -> _MeasurementPlan:
     ffwd = math.sqrt(2.0) / math.sqrt(config.eta_homodyne) * np.array(
         [[g_x1, 0.0], [0.0, g_p1], [g_x2, 0.0], [0.0, g_p2]])
 
+    base_mean, mu_q = state.mean[keep], state.mean[q_idx]
+    sigma_q = state.cov[q_idx[:, None], q_idx]
+    total = gain_map + ffwd
     return _MeasurementPlan(
-        base_mean=state.mean[keep],
-        mu_q=state.mean[q_idx],
-        sigma_q=state.cov[q_idx[:, None], q_idx],
-        gain_map=gain_map,
-        ffwd=ffwd,
-        cond_cov=cond_cov,
-    )
+        base_mean=base_mean, mu_q=mu_q, sigma_q=sigma_q, gain_map=gain_map,
+        ffwd=ffwd, cond_cov=cond_cov, total=total,
+        offset=base_mean - gain_map @ mu_q, spread=total @ sigma_q @ total.T)
 
 
 def _require_finite(what: str, *values) -> None:
@@ -290,9 +308,8 @@ def clone_output_state(config: ProtocolConfig) -> GaussianState:
     fixed outcome only the mean differs.
     """
     plan = _measurement_plan(config)
-    total = plan.gain_map + plan.ffwd
     out_mean = plan.base_mean + plan.ffwd @ plan.mu_q
-    out_cov = plan.cond_cov + total @ plan.sigma_q @ total.T
+    out_cov = plan.cond_cov + plan.spread
     out_cov = 0.5 * (out_cov + out_cov.T)
     _require_finite("clone output", out_mean, out_cov)
     state = GaussianState(out_mean, out_cov)
@@ -342,15 +359,12 @@ def _simulate_shots(plan: _MeasurementPlan, seed: int, first_shot: int,
     p_v += mu_p
     p_v += np.multiply(z[:, 1], math.sqrt(max(v_p_given, 0.0)), out=tmp)
 
-    # clone means = base_mean + gain_map (m - mu_q) + ffwd m
-    #             = (offset + total[:, 0] x_u) + total[:, 1] p_v
-    total = plan.gain_map + plan.ffwd
-    offset = plan.base_mean - plan.gain_map @ plan.mu_q
+    # clone means = (offset + total[:, 0] x_u) + total[:, 1] p_v
     for k in range(4):
         row = records[2 + k]
-        np.multiply(x_u, total[k, 0], out=row)
-        row += offset[k]
-        row += np.multiply(p_v, total[k, 1], out=tmp)
+        np.multiply(x_u, plan.total[k, 0], out=row)
+        row += plan.offset[k]
+        row += np.multiply(p_v, plan.total[k, 1], out=tmp)
     if cond_sqrt is None:
         return records, None
     if draws is None:
@@ -422,8 +436,7 @@ def run_monte_carlo(config: ProtocolConfig, sampled: bool = False
         # (between-shot variance, plus the conditional one in raw draws),
         # measured against the variance reported (plus the exact conditional
         # one in plain mode): rounding at large means ate some or all of it
-        total = plan.gain_map + plan.ffwd
-        varies = np.diag(total @ plan.sigma_q @ total.T) + (cond_var if sampled else 0.0)
+        varies = np.diag(plan.spread) + (cond_var if sampled else 0.0)
         reported = varies if sampled else varies + cond_var
         coarse = np.spacing(peak)
         if np.any((varies > 0.0) & (coarse * (np.sqrt(varies) + coarse)
@@ -451,5 +464,4 @@ def alice_trace_levels(config: ProtocolConfig) -> tuple[float, float]:
     is the mean-power loss of the measured state relative to the input
     imposed by the sender's balanced splitter: exactly 10 log10(2) dB.
     """
-    _, var_p_v = marginal(GaussianState(*_circuit_moments(config)[2]), READOUT[1])
-    return var_p_v, 10.0 * math.log10(2.0)
+    return float(_measurement_plan(config).sigma_q[1, 1]), 10.0 * math.log10(2.0)

@@ -31,6 +31,8 @@ from telecloning.config import (
     serialize_config,
 )
 from telecloning.csvtext import _round12, csv_rows
+from telecloning.opo import fidelity_vs_pump, pump_spectra
+from telecloning.protocol import clone_curve
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -854,8 +856,6 @@ def test_sweep_matches_per_point_rendering(capsys, name, param, stop, steps):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_sweep_values_match_per_point_on_random_configs(seed):
-    from telecloning.cli import _sweep_block
-
     rng = np.random.default_rng(900 + seed)
     config = random_config(rng)
     cfg = parse_config(f"[opo]\np_threshold_mw = {rng.uniform(50.0, 300.0)!r}\n"
@@ -876,10 +876,34 @@ def test_sweep_values_match_per_point_on_random_configs(seed):
     params = opo_params_from(cfg)
     for param, grid in (("squeezing_db", np.linspace(0.0, 15.0, 151)),
                         ("pump_mw", np.linspace(0.0, 0.98 * params.p_threshold_mw, 151))):
-        columns = _sweep_block(protocol_config_from(cfg),
-                               params if param == "pump_mw" else None, grid)
+        levels = (grid, grid) if param == "squeezing_db" else pump_spectra(params, grid)
+        columns = np.stack((*levels, *clone_curve(protocol_config_from(cfg), *levels)))
         reference = np.array(_reference_sweep_rows(cfg, param, grid)).T
         np.testing.assert_allclose(columns, reference[1:], rtol=1e-12, atol=0.0)
+
+
+def test_unit_gain_pump_sweep_prints_fidelity_vs_pump(capsys, tmp_path):
+    # one curve behind both: the sweep's fidelity column at unit gain and
+    # alpha = 0 is fidelity_vs_pump, across two block seams
+    path = tmp_path / "unit.cfg"
+    path.write_text("[opo]\np_threshold_mw = 120.0\neta_det = 0.8\nomega = 0.3\n")
+    steps = 2 * _CSV_BLOCK_ROWS + 7
+    code, out, _ = run_cli(capsys, "sweep", str(path), "--param", "pump_mw",
+                           "--from", "0", "--to", "119", "--steps", str(steps))
+    assert code == 0
+    grid = np.linspace(0.0, 119.0, steps)
+    params = opo_params_from(load_config(str(path)))
+    expected = ["%.12g" % f for f in fidelity_vs_pump(params, grid)[:, 1]]
+    assert [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]] == expected
+
+    # the whole grid in one call holds the bits of one-point calls; a point
+    # is a one-element array, since numpy's scalar power may round otherwise
+    config = protocol_config_from(load_config(str(path)))
+    levels = pump_spectra(params, grid)
+    whole = np.stack(clone_curve(config, *levels))
+    single = np.hstack([np.stack(clone_curve(config, sq[None], anti[None]))
+                        for sq, anti in zip(*levels)])
+    assert whole.tobytes() == single.tobytes()
 
 
 class _Discard(io.TextIOBase):

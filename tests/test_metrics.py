@@ -115,6 +115,11 @@ def test_general_rejects_bad_covariance():
         fidelity_general([0, 0], np.diag([-0.1, 0.2]), 0j)
 
 
+def test_general_on_an_empty_batch_is_empty():
+    f = fidelity_general(np.zeros((0, 2)), np.zeros((0, 2, 2)), 1 + 2j)
+    assert isinstance(f, np.ndarray) and f.shape == (0,)
+
+
 def test_unit_gain_fidelity_independent_of_alpha():
     _, _, db = optimal_squeezing()
     spec = SqueezerSpec.pure(db)

@@ -215,6 +215,10 @@ def test_pump_spectra_reject_pumps_outside_domain():
         squeezing_spectra(params, -1.0)
 
 
+def test_fidelity_vs_pump_on_an_empty_grid_is_empty():
+    assert fidelity_vs_pump(OPOParams(100.0), []).shape == (0, 2)
+
+
 def test_fidelity_vs_pump_matches_per_point_loop():
     for eta, omega in ((1.0, 0.0), (0.8, 0.3)):
         params = OPOParams(120.0, eta, omega)
