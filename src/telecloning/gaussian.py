@@ -281,7 +281,8 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
 
     Computed as the absolute values of the eigenvalues of i*Omega*cov,
     which come in +/- pairs; one representative per pair is returned. The
-    covariance is symmetric: ``GaussianState`` checks it.
+    covariance is symmetric: ``GaussianState`` checks it. The values mean
+    something only for a positive-definite one: diag(1, -1) gives [1].
     """
     omega = _omega(state.n_modes)
     nu = np.sort(np.abs(np.linalg.eigvals(1j * omega @ state.cov)))
@@ -289,15 +290,21 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
 
 
 def is_physical(state: GaussianState) -> bool:
-    return bool(symplectic_eigenvalues(state).min() >= VACUUM_VARIANCE - PHYSICALITY_TOL)
+    """Whether ``assert_physical`` passes."""
+    return bool(not state.cov.diagonal().min() <= 0.0  # NaN: eigvals raises, as there
+                and symplectic_eigenvalues(state).min() >= VACUUM_VARIANCE - PHYSICALITY_TOL)
 
 
 def assert_physical(state: GaussianState, context: str = "") -> None:
-    """Raise PhysicalityError unless all symplectic eigenvalues are
-    >= 1/4 - PHYSICALITY_TOL."""
+    """Raise PhysicalityError unless every variance is positive (necessary
+    for a positive-definite covariance, not sufficient: [[1, 2], [2, 1]]
+    passes) and every symplectic eigenvalue is >= 1/4 - PHYSICALITY_TOL."""
+    where = f" in {context}" if context else ""
+    v_min = state.cov.diagonal().min()
+    if v_min <= 0.0:  # a NaN goes on to eigvals' LinAlgError, a numeric error
+        raise PhysicalityError(f"unphysical state{where}: variance {v_min:.12g} is not positive")
     nu_min = symplectic_eigenvalues(state).min()
     if nu_min < VACUUM_VARIANCE - PHYSICALITY_TOL:
-        where = f" in {context}" if context else ""
         raise PhysicalityError(
             f"unphysical state{where}: smallest symplectic eigenvalue "
             f"{nu_min:.12g} < {VACUUM_VARIANCE}"

@@ -48,7 +48,9 @@ def variance_to_db(v: float) -> float:
 
 
 def db_to_variance(db):
-    """Variance of a noise level in dB, elementwise over scalars or arrays."""
+    """Variance of a noise level in dB, elementwise over scalars or arrays.
+    A scalar goes through libm ``pow`` and an array through numpy's SIMD
+    ``power``, so a value alone and inside an array can differ in the last bit."""
     return VACUUM_VARIANCE * 10.0 ** (db / 10.0)
 
 

@@ -25,9 +25,8 @@ Levenberg–Marquardt loop (D. W. Marquardt, SIAM J. Appl. Math. 11, 431
 importing ``scipy.optimize``; the tests keep scipy's ``least_squares`` as
 the oracle for the optimum. Its grid seed puts the data points on the
 leading axis, so the score of the 60 x 40 grid is a sum of contiguous
-per-point planes, added in numpy's pairwise order (``_pairwise_sum``) so
-that it keeps the bits of a last-axis ``sum``; the damped 2x2 step is
-taken on numpy scalars.
+per-point planes; the scores only pick the grid's argmin. The damped 2x2
+step is taken on numpy scalars.
 """
 
 from __future__ import annotations
@@ -172,46 +171,6 @@ _T_GRID = np.geomspace(1.02, 50.0, 60)
 _ETA_GRID = np.linspace(0.05, 1.0, 40)
 
 
-def _pairwise_sum(terms):
-    """Sum of a list of equal-shape arrays, added in the order numpy's
-    pairwise summation adds a contiguous axis (runs longer than 128 split in
-    halves at a multiple of 8, eight interleaved partial sums within a run),
-    so that it equals ``np.stack(terms, axis=-1).sum(axis=-1)`` bit for bit.
-    Accumulates into the terms."""
-    n = len(terms)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-    # numpy's reduction starts from 0.0, so a sum of -0.0 terms is 0.0
-    if n < 8:
-        total, rest = terms[0] + 0.0, terms[1:]
-    else:
-        end = n - n % 8
-        for k in range(8, end):
-            terms[k % 8] += terms[k]
-        total = (terms[0] + terms[1]) + (terms[2] + terms[3]) + 0.0
-        total += (terms[4] + terms[5]) + (terms[6] + terms[7])
-        rest = terms[end:]
-    for term in rest:
-        total += term
-    return total
-
-
-def _seed_scores(ratio, s_meas, a_meas, omega2):
-    """Sums of squared dB residuals over the (t, eta_det) seed grid, shape
-    (60, 40). One ``_spectra`` call has the data points on the leading axis,
-    so each point's residuals are one contiguous plane; the planes are added
-    in numpy's pairwise order, so the scores keep the bits of a last-axis
-    ``sum`` over the point-trailing layout."""
-    s_sq, a_sq = _spectra(np.sqrt(ratio[:, None, None] / _T_GRID[:, None]),
-                          _ETA_GRID, omega2)
-    s_sq -= s_meas[:, None, None]
-    a_sq -= a_meas[:, None, None]
-    s_sq *= s_sq
-    a_sq *= a_sq
-    return _pairwise_sum([*s_sq, *a_sq])
-
-
 def fit_params(data: Sequence[tuple[float, float, float]],
                omega: float = 0.0) -> FitResult:
     """Least-squares (p_threshold, eta_det) from measured noise levels.
@@ -221,8 +180,8 @@ def fit_params(data: Sequence[tuple[float, float, float]],
     Levenberg–Marquardt solve of the 2n dB residuals at the fixed analysis
     frequency, in t = p_threshold / max pump within [1.0001, 100] and
     eta_det within [1e-6, 1]. The 60 x 40 grid is scored in one
-    ``_spectra`` call with the data points on the leading axis
-    (``_seed_scores``). A parameter at a bound that the gradient pushes
+    ``_spectra`` call with the data points on the leading axis, summed
+    over the points. A parameter at a bound that the gradient pushes
     outward takes no step, and a step across a bound is clipped to it. The
     damped 2x2 normal equations are solved on numpy scalars. The loop stops
     when a step no longer moves the parameters, or after 200 trial steps.
@@ -259,7 +218,13 @@ def fit_params(data: Sequence[tuple[float, float, float]],
     # or a non-finite gradient ends the loop with a NaN step, where Python
     # floats would raise ZeroDivisionError
     with np.errstate(all="ignore"):
-        scores = _seed_scores(ratio, s_meas, a_meas, omega2)
+        s_sq, a_sq = _spectra(np.sqrt(ratio[:, None, None] / _T_GRID[:, None]),
+                              _ETA_GRID, omega2)
+        s_sq -= s_meas[:, None, None]
+        a_sq -= a_meas[:, None, None]
+        s_sq *= s_sq
+        a_sq *= a_sq
+        scores = s_sq.sum(axis=0) + a_sq.sum(axis=0)
         # argmin keeps the first of equal scores in t-major order
         best_t, best_eta = np.unravel_index(np.argmin(scores), scores.shape)
         t, eta = _T_GRID[best_t], _ETA_GRID[best_eta]

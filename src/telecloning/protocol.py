@@ -69,7 +69,7 @@ from .homodyne import (
     QuadratureSelector,
     conditional,
     shot_normals,
-    shot_stream,  # re-exported: draws shot j's normals one at a time
+    shot_stream,  # re-exported: the benchmark's tracer and tests bind protocol.shot_stream
 )
 from .metrics import fidelity_general
 from .resource import SqueezerSpec, build_telecloning_resource, squeezer_variances
@@ -334,41 +334,32 @@ def _simulate_shots(plan: _MeasurementPlan, seed: int, first_shot: int,
                     ) -> tuple[np.ndarray, np.ndarray | None]:
     """Shots first_shot .. first_shot + n_shots - 1 as columns.
 
-    Each shot samples x_u, then p_v given x_u, then displaces. Returns the
-    (6, n_shots) records of ``run_monte_carlo`` and, with ``cond_sqrt``, the
-    (4, n_shots) raw clone quadratures driven by draws 2-5 of each shot,
-    written into ``records`` and ``draws`` when given.
+    Each shot samples x_u and p_v, then displaces. The outcomes are
+    independent: every element acts as kron(M, I2) on inputs without x-p
+    covariance, so ``sigma_q`` is diagonal and ``total`` maps x_u only to
+    the x means and p_v only to the p means (test_network_keeps_x_and_p_apart).
+    Returns the (6, n_shots) records of ``run_monte_carlo`` and, with
+    ``cond_sqrt``, the (4, n_shots) raw clone quadratures driven by draws
+    2-5 of each shot, written into ``records`` and ``draws`` when given.
     Every output is an elementwise expression of the shot's own draws
     (no matrix products), so a shot's values do not depend on the batch.
     """
     z = shot_normals(seed, first_shot, n_shots, 2 if cond_sqrt is None else 6)
     if records is None:
         records = np.empty((6, n_shots))
-    mu_x, mu_p = plan.mu_q
-    v_x = plan.sigma_q[0, 0]
-    slope = plan.sigma_q[1, 0] / v_x
-    v_p_given = plan.sigma_q[1, 1] - plan.sigma_q[1, 0] ** 2 / v_x
-    x_u, p_v = records[0], records[1]
-    tmp = np.empty(n_shots)
-    # x_u = mu_x + sqrt(v_x) z0
-    np.multiply(z[:, 0], math.sqrt(v_x), out=x_u)
-    x_u += mu_x
-    # p_v = (mu_p + slope (x_u - mu_x)) + sqrt(v_p_given) z1
-    np.subtract(x_u, mu_x, out=p_v)
-    p_v *= slope
-    p_v += mu_p
-    p_v += np.multiply(z[:, 1], math.sqrt(max(v_p_given, 0.0)), out=tmp)
-
-    # clone means = (offset + total[:, 0] x_u) + total[:, 1] p_v
+    # x_u = mu_x + sqrt(v_x) z0 and p_v = mu_p + sqrt(v_p) z1
+    for k in range(2):
+        np.multiply(z[:, k], math.sqrt(plan.sigma_q[k, k]), out=records[k])
+        records[k] += plan.mu_q[k]
+    # clone means: x rows offset + total x_u, p rows offset + total p_v
     for k in range(4):
-        row = records[2 + k]
-        np.multiply(x_u, plan.total[k, 0], out=row)
-        row += plan.offset[k]
-        row += np.multiply(p_v, plan.total[k, 1], out=tmp)
+        np.multiply(records[k % 2], plan.total[k, k % 2], out=records[2 + k])
+        records[2 + k] += plan.offset[k]
     if cond_sqrt is None:
         return records, None
     if draws is None:
         draws = np.empty((4, n_shots))
+    tmp = np.empty(n_shots)
     for k in range(4):
         # the clone mean plus sum_i cond_sqrt[k, i] z_(2+i), summed in order
         row = draws[k]

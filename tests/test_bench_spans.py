@@ -1,36 +1,55 @@
-"""The traced benchmark's span names still exist in the package.
+"""The traced benchmark's names still exist in the package.
 
 ``perfbench/run.py`` looks up each name of its ``SPANS`` in the tracer's
-table and raises ``KeyError`` on a missing one, so a refactor that deletes
-or renames a spanned function would otherwise show only in a traced run.
-Both files are read with ``ast``; neither is imported.
+table and raises ``KeyError`` on a missing one. ``perfbench/tracer.py``'s
+``traced_callables()`` raises on a missing ``LAYERS`` module or
+``CONSTRUCTORS`` class, and would trace a renamed ``UNTRACED`` handler. A
+refactor that deletes or renames one of these would otherwise show only
+in a benchmark run. The files are read with ``ast``; none is imported.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "telecloning"
 
 
-def _spans() -> tuple[str, ...]:
-    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+def _constant(path: Path, name: str):
+    tree = ast.parse(path.read_text())
     for node in tree.body:
         if (isinstance(node, ast.Assign)
-                and [getattr(t, "id", None) for t in node.targets] == ["SPANS"]):
+                and [getattr(t, "id", None) for t in node.targets] == [name]):
             return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/run.py defines no SPANS")
+    raise AssertionError(f"{path.name} defines no {name}")
+
+
+def _defined(module: str, kind) -> dict:
+    """Top-level definitions of one package module that are ``kind``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return {node.name: node for node in tree.body if isinstance(node, kind)}
 
 
 def test_every_span_names_a_public_function_or_a_class_of_its_module():
-    spans = _spans()
+    spans = _constant(ROOT / "perfbench" / "run.py", "SPANS")
     assert spans
     missing = []
     for span in spans:
         module, name = span.split(".")
-        tree = ast.parse((ROOT / "src" / "telecloning" / f"{module}.py").read_text())
-        defined = {node.name: node for node in tree.body
-                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-        node = defined.get(name)
+        node = _defined(module, (ast.FunctionDef, ast.ClassDef)).get(name)
         if node is None or (isinstance(node, ast.FunctionDef) and name.startswith("_")):
             missing.append(span)
+    assert not missing, missing
+
+
+def test_every_tracer_name_exists_in_the_package():
+    tracer = ROOT / "perfbench" / "tracer.py"
+    layers = _constant(tracer, "LAYERS")
+    assert layers and not [m for m in layers if not (PACKAGE / f"{m}.py").is_file()]
+    missing = []
+    for table, kind in (("CONSTRUCTORS", ast.ClassDef), ("UNTRACED", ast.FunctionDef)):
+        names = _constant(tracer, table)
+        assert names, table
+        missing += [entry for entry in names
+                    if entry.split(".")[1] not in _defined(entry.split(".")[0], kind)]
     assert not missing, missing

@@ -173,6 +173,22 @@ def test_run_unphysical_squeezer_exits_2(capsys, tmp_path):
     assert "physicality" in err
 
 
+@pytest.mark.parametrize("mode", (("--shots", "1"), ("--shots", "1", "--sampled"),
+                                  ("--shots", "1000")))
+def test_sample_negative_conditioned_variance_exits_2(capsys, tmp_path, mode):
+    # rounding at 300 dB of antisqueezing leaves the conditioned receiver
+    # covariance with diagonal (0.25, -8192, 0.25, -8.8e12), whose symplectic
+    # eigenvalues pass; one shot ended in a traceback and 1000 shots exited 0
+    path = tmp_path / "negative.cfg"
+    path.write_text("[squeezer_ii]\nantisqueezing_db = 300.0\n"
+                    "[input]\nalpha_re = 40.0\nalpha_im = 80.0\n[gains]\ngx2 = 300.0\n"
+                    "[loss]\neta_resource_a = 0.999\neta_resource_b = 1e-09\n")
+    code, out, err = run_cli(capsys, "sample", str(path), *mode)
+    assert (code, out) == (2, "")
+    assert err.startswith("physicality error: unphysical state in conditioned receiver modes: "
+                          "variance -")
+
+
 def test_sample_writes_deterministic_csv(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

@@ -347,3 +347,13 @@ def test_unphysical_covariance_detected():
     bad = GaussianState(np.zeros(2), np.diag([0.1, 0.1]))
     with pytest.raises(PhysicalityError):
         assert_physical(bad)
+
+
+@pytest.mark.parametrize("diagonal", ([1.0, -1.0], [1.0, 1.0, -3.0, -3.0]))
+def test_negative_variance_is_unphysical(diagonal):
+    # |eig(i Omega V)| is blind to the sign: both pass the symplectic bound
+    bad = GaussianState(np.zeros(len(diagonal)), np.diag(diagonal))
+    assert symplectic_eigenvalues(bad).min() > 0.99
+    assert not is_physical(bad)
+    with pytest.raises(PhysicalityError, match=r"unphysical state in here: variance -\d"):
+        assert_physical(bad, context="here")

@@ -23,7 +23,7 @@ from telecloning import (
     squeezing_spectra,
 )
 from telecloning import opo
-from telecloning.opo import _pairwise_sum, _seed_scores, _spectra, _spectra_jacobian
+from telecloning.opo import _spectra, _spectra_jacobian
 
 PINS = Path(__file__).resolve().parent / "data" / "opo_pins.json"
 
@@ -378,32 +378,6 @@ def test_fit_ends_on_a_singular_step_at_the_grid_seed(monkeypatch):
         fit = fit_params([(10.0, 1.0, 1.5), (20.0, 2.0, 3.0), (30.0, 3.0, 4.5)])
     assert (fit.params.p_threshold_mw, fit.params.eta_det) == (328.95275478883684,
                                                                0.6102564102564103)
-
-
-@pytest.mark.parametrize("n", (*range(1, 20), 24, 127, 128, 129, 300))
-def test_pairwise_sum_adds_in_numpy_order(n):
-    # the fit's grid scores sum per-point planes; they must equal the sum
-    # over the contiguous last axis of the point-trailing layout bit for bit
-    rng = np.random.default_rng(n)
-    terms = rng.standard_normal((n, 3, 5)) * 10.0 ** rng.integers(-8, 9, (n, 3, 5))
-    terms[:, 0, 0] = -0.0  # numpy sums these to 0.0
-    terms[::2, 0, 1] = -0.0
-    expected = np.ascontiguousarray(np.moveaxis(terms, 0, -1)).sum(axis=-1)
-    assert _pairwise_sum(list(terms.copy())).tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_seed_scores_equal_the_point_trailing_sum(seed):
-    data = _noisy_data(700 + seed, points=3 + 3 * seed)
-    omega2 = 0.16 if seed % 2 else 0.0
-    pumps, s_meas, a_meas = np.array(data).T
-    ratio = pumps / pumps.max()
-    # the grid as first written: points on the last axis, summed by numpy
-    levels = _spectra(np.sqrt(ratio / np.geomspace(1.02, 50.0, 60)[:, None, None]),
-                      np.linspace(0.05, 1.0, 40)[None, :, None], omega2)
-    expected = ((np.concatenate(levels, axis=-1) - np.concatenate([s_meas, a_meas])) ** 2
-                ).sum(axis=-1)
-    assert _seed_scores(ratio, s_meas, a_meas, omega2).tobytes() == expected.tobytes()
 
 
 def _pinned_fits():

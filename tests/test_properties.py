@@ -68,6 +68,7 @@ def test_every_accepted_config_exits_0_1_or_2(config_path, text):
     config_path.write_text(text)
     sweep = ["--from", "0", "--to", "12", "--steps", "9"]
     for argv in (["run", str(config_path)],
+                 ["sample", str(config_path), "--shots", "1"],
                  ["sample", str(config_path), "--shots", "50"],
                  ["sample", str(config_path), "--shots", "50", "--sampled"],
                  ["criteria", str(config_path)],

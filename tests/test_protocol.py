@@ -113,6 +113,25 @@ def test_plan_conditions_on_the_detected_state_of_circuit_states(monkeypatch):
         assert alice_trace_levels(config)[0] == detected.cov[p_v, p_v]
 
 
+def test_network_keeps_x_and_p_apart():
+    """Every element acts as kron(M, I2) on inputs without x-p covariance,
+    so x and p never mix: the outcome covariance is diagonal and each clone
+    mean reads one outcome. ``_simulate_shots`` samples x_u and p_v
+    independently and maps each to one quadrature; the sampler is wrong the
+    day an element mixes x and p."""
+    rng = np.random.default_rng(47)
+    configs = [protocol_config_from(load_config(str(CONFIGS / f"{name}.cfg")))
+               for name in ("optimal", "classical", "paper")]
+    configs += [random_config(rng) for _ in range(200)]
+    for config in configs:
+        plan = _measurement_plan(config)
+        assert plan.sigma_q[0, 1] == plan.sigma_q[1, 0] == 0.0
+        assert np.all(plan.total[0::2, 1] == 0.0)  # x means ignore p_v
+        assert np.all(plan.total[1::2, 0] == 0.0)  # p means ignore x_u
+        for name, state in circuit_states(config).items():
+            assert np.all(state.cov[0::2, 1::2] == 0.0), name
+
+
 def test_optimal_point_moments():
     # one unit of vacuum noise on top of the input: var 1/2 per quadrature
     m = run_analytic(optimal_config())
