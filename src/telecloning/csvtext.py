@@ -14,13 +14,13 @@ _SEP = _U64(ord(",") << 56)  # the last byte of a field's last word
 _APART = _U64(1 << 63)  # marks the prefix of a key laid out apart
 _BYTE_MASK = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)  # k bytes
 
-# A value's key is 2 * (e + 11) + (value < 0) for its exponent e in -11..33,
-# those that one exact power of ten scales to 12 digits. -4, -3 and %e form
-# are laid out apart from the others.
-_EXP = np.repeat(np.arange(-11, 34), 2)
+# A value's key is 2 * (e + 12) + (value < 0) for its exponent e in -12..33:
+# one exact power of ten scales -11..33 to 12 digits, and -12 stands for every
+# smaller exponent, unscaled. -4, -3 and %e form are laid out apart.
+_EXP = np.repeat(np.arange(-12, 34), 2)
 _NEG = np.tile([0, 1], _EXP.size // 2)
 _FIXED = (_EXP >= -4) & (_EXP < 12)  # %f form
-_SCALE = np.array([float(10 ** abs(11 - e)) for e in _EXP.tolist()])
+_SCALE = np.array([float(10 ** abs(11 - e)) if e > -12 else 1.0 for e in _EXP.tolist()])
 _SCALE_UP = np.where(_EXP <= 11, _SCALE, 1.0) * np.where(_NEG, -1.0, 1.0)
 _SCALE_DOWN = np.where(_EXP > 11, _SCALE, 1.0)
 # sign and "0.", "0.0", ... below 1 in %f form, and the "e+XX" of %e form
@@ -35,14 +35,15 @@ _SUFFIX = np.array([0 if f else int.from_bytes(b"e%+03d" % e, "little")
 # of 10**(e0 + 1) correctly rounded. _KEY is indexed by 2 * top + reached.
 # log10 of a power of two is never within 4e-4 of an integer, so its floor
 # is the same on every host. Zeros, subnormals, inf, NaN and exponents the
-# tables cannot scale get keys that scale them out of [1e11, 1e12).
+# tables cannot scale get keys that scale them out of [1e11, 1e12): e = -12
+# leaves every value below 1e-11 under 1, and e = 33 divides by 1e22.
 _e0 = np.floor(np.log10(np.ldexp(1.0, np.arange(-1022, 1024)))).astype(np.intp)
-_steps = (_e0 >= -11) & (_e0 <= 32)
+_steps = (_e0 >= -12) & (_e0 <= 32)
 _KEY = np.zeros((2, 2048, 2), dtype=np.intp) + [[[0]], [[1]]]
-_KEY[:, 1:2047] += 2 * (np.clip(np.stack((_e0, _e0 + _steps), 1), -11, 33) + 11)
-_POWERS = np.array([float(f"1e{k}") for k in range(-10, 34)])
+_KEY[:, 1:2047] += 2 * (np.clip(np.stack((_e0, _e0 + _steps), 1), -12, 33) + 12)
+_POWERS = np.array([float(f"1e{k}") for k in range(-11, 34)])
 _REACH = np.full((2, 2048), 2**64 - 1, dtype=np.uint64)
-_REACH[:, 1:2047][:, _steps] = (_POWERS[_e0[_steps] + 11].view(np.uint64)
+_REACH[:, 1:2047][:, _steps] = (_POWERS[_e0[_steps] + 12].view(np.uint64)
                                 | np.array([[0], [1 << 63]], dtype=np.uint64))
 # The 12 digits are three groups of four in 5-byte slots: _SLOT[j, strip, q]
 # holds q's digits with a point after the j-th (none for j = 0); with strip,

@@ -291,8 +291,11 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
 
 def is_physical(state: GaussianState) -> bool:
     """Whether ``assert_physical`` passes."""
-    return bool(not state.cov.diagonal().min() <= 0.0  # NaN: eigvals raises, as there
-                and symplectic_eigenvalues(state).min() >= VACUUM_VARIANCE - PHYSICALITY_TOL)
+    try:
+        assert_physical(state)
+    except PhysicalityError:
+        return False
+    return True
 
 
 def assert_physical(state: GaussianState, context: str = "") -> None:

@@ -3,17 +3,17 @@
 An ideal homodyne detector reads out exactly one quadrature of one mode.
 Reading out quadratures Q (one per measured mode) updates the quadratures
 K of the other modes by the Gaussian conditional rule, a Schur complement
-(Weedbrook et al., RMP 84, 621 (2012)), written once in ``conditional``:
+(Weedbrook et al., RMP 84, 621 (2012)):
 
     gain    = C_KQ C_QQ^-1
     mean_K' = mean_K + gain (value_Q - mean_Q)
     cov_K'  = C_KK - gain C_KQ^T
 
-The conjugate quadrature of a measured mode is destroyed by the readout,
-so measured modes are dropped entirely.
+The rule is written once, in ``conditional``, on a covariance array: it
+returns gain and cov_K', and callers apply the mean update. Measured
+modes are dropped: the readout destroys their conjugate quadratures.
 
-Detector inefficiency is modeled upstream by a loss channel on the mode
-before the ideal measurement.
+Detector inefficiency is a loss channel on the mode ahead of the readout.
 
 Sampling is reproducible and counter based (Salmon et al., SC'11,
 "Parallel random numbers: as easy as 1, 2, 3"). numpy's Philox4x64-10 is
@@ -74,26 +74,27 @@ def marginal(state: GaussianState, sel: QuadratureSelector) -> tuple[float, floa
     return float(state.mean[i]), float(state.cov[i, i])
 
 
-def conditional(state: GaussianState, sels: Sequence[QuadratureSelector]
+def conditional(cov: np.ndarray, sels: Sequence[QuadratureSelector]
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Conditional rule for a joint readout of quadratures of distinct modes:
-    ``(keep, gain, cov)``, the quadrature indices of the unmeasured modes,
-    the gain C_KQ C_QQ^-1 and their outcome-independent covariance."""
+    """Conditional rule for a joint readout of quadratures of distinct modes
+    of a state with covariance ``cov``: ``(keep, gain, cond)``, the quadrature
+    indices of the unmeasured modes, the gain C_KQ C_QQ^-1 and their
+    outcome-independent covariance."""
     measured = [sel.mode for sel in sels]
-    _quadrature_indices(state.n_modes, measured)  # range and duplicate check
-    keep = np.array([j for j in range(state.mean.size) if j // 2 not in measured])
+    _quadrature_indices(len(cov) // 2, measured)  # range and duplicate check
+    keep = np.array([j for j in range(len(cov)) if j // 2 not in measured])
     if not keep.size:
         raise ValueError("conditioning drops the measured modes; need at least one more")
     q = np.array([sel.index() for sel in sels])
-    sigma = state.cov[q[:, None], q]
+    sigma = cov[q[:, None], q]
     v_min = sigma.diagonal().min()
     if v_min < DEGENERATE_VARIANCE_TOL:
         raise DegenerateVarianceError(
             f"marginal variance {v_min:.3e} is degenerate; cannot condition"
         )
-    cross = state.cov[keep[:, None], q]
+    cross = cov[keep[:, None], q]
     gain = np.linalg.solve(sigma.T, cross.T).T
-    cond = state.cov[keep[:, None], keep] - gain @ cross.T
+    cond = cov[keep[:, None], keep] - gain @ cross.T
     # enforce exact symmetry against rounding in the update
     return keep, gain, 0.5 * (cond + cond.T)
 
@@ -101,9 +102,8 @@ def conditional(state: GaussianState, sels: Sequence[QuadratureSelector]
 def condition_on(state: GaussianState, sel: QuadratureSelector,
                  value: float) -> GaussianState:
     """State of the unmeasured modes given an observed quadrature value."""
-    keep, gain, cov = conditional(state, [sel])
-    i = sel.index()
-    return GaussianState(state.mean[keep] + gain[:, 0] * (value - state.mean[i]), cov)
+    keep, gain, cov = conditional(state.cov, [sel])
+    return GaussianState(state.mean[keep] + gain[:, 0] * (value - state.mean[sel.index()]), cov)
 
 
 def sample_homodyne(state: GaussianState, sel: QuadratureSelector,

@@ -21,10 +21,10 @@ The same physics is evaluated by three routes that must agree:
     ``clone_variances``), applied to plain (mean, cov) arrays: the resource
     circuit with its losses once to the squeezer inputs, and the couplers,
     the sender's splitter and her detection loss once to the input and the
-    resource. Only the resource, the detected state that one step of
-    ``homodyne.conditional`` conditions on (``READOUT``) and the clone
-    output are ``GaussianState`` objects. The feedforward folds in exactly:
-    an outcome-independent covariance and the outcome average as mean.
+    resource. One step of ``homodyne.conditional`` conditions the detected
+    covariance on ``READOUT``; only the resource and the clone output are
+    ``GaussianState`` objects. The feedforward folds in exactly: an
+    outcome-independent covariance and the outcome average as mean.
 
 ``run_monte_carlo``
     Samples the two measurement outcomes of every shot from the
@@ -259,39 +259,36 @@ def circuit_states(config: ProtocolConfig) -> dict[str, GaussianState]:
 class _MeasurementPlan:
     """Affine structure of measurement plus feedforward, fixed per config.
 
-    For outcome vector m = (x_u, p_v) of ``READOUT``:
+    For outcome vector m = (x_u, p_v) of ``READOUT`` and conditional gain G:
 
-        clone means = base_mean + gain_map (m - mu_q) + ffwd m = offset + total m
+        clone means = base_mean + G (m - mu_q) + ffwd m = offset + total m
         clone cov   = cond_cov + spread
     """
 
     base_mean: np.ndarray   # (4,)  pre-measurement means of (xB, pB, xC, pC)
     mu_q: np.ndarray        # (2,)  outcome means
     sigma_q: np.ndarray     # (2,2) outcome covariance
-    gain_map: np.ndarray    # (4,2) conditional-mean response to outcomes
     ffwd: np.ndarray        # (4,2) feedforward displacement map
     cond_cov: np.ndarray    # (4,4) outcome-independent conditional covariance
-    total: np.ndarray       # (4,2) gain_map + ffwd
-    offset: np.ndarray      # (4,)  base_mean - gain_map mu_q
+    total: np.ndarray       # (4,2) G + ffwd
+    offset: np.ndarray      # (4,)  base_mean - G mu_q
     spread: np.ndarray      # (4,4) total sigma_q total^T, the clone means' covariance
 
 
 def _measurement_plan(config: ProtocolConfig) -> _MeasurementPlan:
-    state = GaussianState(*_circuit_moments(config)[2])
-    keep, gain_map, cond_cov = conditional(state, READOUT)
+    mean, cov = _circuit_moments(config)[2]
+    keep, gain, cond_cov = conditional(cov, READOUT)
     q_idx = np.array([sel.index() for sel in READOUT])
 
     g_x1, g_p1, g_x2, g_p2 = config.gains
     ffwd = math.sqrt(2.0) / math.sqrt(config.eta_homodyne) * np.array(
         [[g_x1, 0.0], [0.0, g_p1], [g_x2, 0.0], [0.0, g_p2]])
 
-    base_mean, mu_q = state.mean[keep], state.mean[q_idx]
-    sigma_q = state.cov[q_idx[:, None], q_idx]
-    total = gain_map + ffwd
+    base_mean, mu_q, sigma_q = mean[keep], mean[q_idx], cov[q_idx[:, None], q_idx]
+    total = gain + ffwd
     return _MeasurementPlan(
-        base_mean=base_mean, mu_q=mu_q, sigma_q=sigma_q, gain_map=gain_map,
-        ffwd=ffwd, cond_cov=cond_cov, total=total,
-        offset=base_mean - gain_map @ mu_q, spread=total @ sigma_q @ total.T)
+        base_mean=base_mean, mu_q=mu_q, sigma_q=sigma_q, ffwd=ffwd, cond_cov=cond_cov,
+        total=total, offset=base_mean - gain @ mu_q, spread=total @ sigma_q @ total.T)
 
 
 def _require_finite(what: str, *values) -> None:

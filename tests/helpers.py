@@ -188,7 +188,7 @@ def reference_clone_state(config) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance of both clones from ``reference_circuit_states``:
     the readout of ``READOUT``, then the calibrated feedforward."""
     detected = reference_circuit_states(config)["detected"]
-    keep, gain, cond = conditional(detected, READOUT)
+    keep, gain, cond = conditional(detected.cov, READOUT)
     q = [sel.index() for sel in READOUT]
     g_x1, g_p1, g_x2, g_p2 = config.gains
     ffwd = math.sqrt(2.0) / math.sqrt(config.eta_homodyne) * np.array(

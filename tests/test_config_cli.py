@@ -270,6 +270,16 @@ def test_sweep_two_point_grid(capsys):
     assert float(rows[1][5]) == pytest.approx(0.5, abs=1e-9)
 
 
+def test_sweep_writes_levels_just_below_1e_minus_11(capsys):
+    # 9.99999999999e-12 once printed as 1e-11: scaled by the 1e-11 row's
+    # 1e22, it rounded up into the 12-digit range
+    code, out, _ = run_cli(capsys, "sweep", str(CONFIGS / "paper.cfg"),
+                           "--param", "squeezing_db",
+                           "--from", "0", "--to", "9.99999999999e-12", "--steps", "2")
+    assert code == 0
+    assert out.splitlines()[2].split(",")[:3] == ["9.99999999999e-12"] * 3
+
+
 def test_sweep_locates_optimum(capsys):
     code, out, _ = run_cli(capsys, "sweep", str(CONFIGS / "classical.cfg"),
                            "--param", "squeezing_db",
@@ -406,7 +416,8 @@ def _float_edges() -> np.ndarray:
                 9.9999999999995e20, 9.99999999999949, 9.99999999999951]
     trailing_zeros = [10.0, 100.0, 1e5, 1e11, 120.0, 1200000.0, 0.1, 0.5, 2.5, 1e-4]
     switch = [1e-5, 9.99999999999e-5, 9.999999999995e-5, 0.0001, 999999999999.4, 1e12,
-              99999999999.9, 123456789012.0, 1234567890123.0, 1e-11, 9.99e33, 1e34]
+              99999999999.9, 123456789012.0, 1234567890123.0, 1e-11, 9.99e33, 1e34,
+              9.99999999995e-12, 9.99999999999e-12, 9.999999999994e-12]  # just below 1e-11
     special = [0.0, math.inf, math.nan, 5e-324, 1e-310, 2.2250738585072009e-308,
                2.2250738585072014e-308, 1.7976931348623157e308]
     values = np.concatenate((tens, np.nextafter(tens, np.inf), np.nextafter(tens, -np.inf),

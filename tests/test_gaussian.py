@@ -357,3 +357,21 @@ def test_negative_variance_is_unphysical(diagonal):
     assert not is_physical(bad)
     with pytest.raises(PhysicalityError, match=r"unphysical state in here: variance -\d"):
         assert_physical(bad, context="here")
+
+
+@pytest.mark.parametrize("cov, physical", (
+    (random_state(np.random.default_rng(4), 3).cov, True),
+    (np.diag([1.0, -1.0]), False),
+    (np.diag([1.0, 1.0, -3.0, -3.0]), False),
+    (np.diag([0.25 - 2e-9, 0.25 - 2e-9, 1.0, 1.0]), False),  # nu_min below 1/4 - 1e-9
+    # not positive definite, yet both pass: the gap a Hermitian test closes (ROADMAP item 1)
+    (np.array([[1.0, 2.0], [2.0, 1.0]]), True),
+), ids=("random", "negative-x", "negative-pair", "below-bound", "indefinite"))
+def test_is_physical_is_whether_assert_physical_passes(cov, physical):
+    state = GaussianState(np.zeros(len(cov)), cov)
+    try:
+        assert_physical(state)
+        passed = True
+    except PhysicalityError:
+        passed = False
+    assert is_physical(state) == passed == physical

@@ -156,7 +156,7 @@ def test_joint_conditioning_equals_successive():
         st = random_state(rng, int(rng.integers(3, 5)))
         first, second = (QuadratureSelector(int(m), "xp"[rng.integers(2)])
                          for m in rng.choice(st.n_modes, size=2, replace=False))
-        keep, gain, cov = conditional(st, [first, second])
+        keep, gain, cov = conditional(st.cov, [first, second])
         assert keep.tolist() == [j for j in range(st.mean.size)
                                  if j // 2 not in (first.mode, second.mode)]
         gain_seq, cov_seq = successive_conditioning(st, first, second)
@@ -168,15 +168,15 @@ def test_joint_conditioning_equals_successive():
 def test_joint_conditioning_rejects_bad_selectors():
     st = random_state(np.random.default_rng(9), 2)
     with pytest.raises(ValueError, match="duplicate"):
-        conditional(st, [X0, P0])
+        conditional(st.cov, [X0, P0])
     with pytest.raises(ValueError, match="out of range"):
-        conditional(st, [QuadratureSelector(2, "x")])
+        conditional(st.cov, [QuadratureSelector(2, "x")])
     with pytest.raises(ValueError):
-        conditional(st, [X0, QuadratureSelector(1, "p")])  # nothing left
+        conditional(st.cov, [X0, QuadratureSelector(1, "p")])  # nothing left
     narrow = tensor(squeezed_vacuum(0.5, 0.5), squeezed_vacuum(1e-14, 0.0625 / 1e-14),
                     vacuum(1))
     with pytest.raises(DegenerateVarianceError):
-        conditional(narrow, [X0, QuadratureSelector(1, "x")])
+        conditional(narrow.cov, [X0, QuadratureSelector(1, "x")])
 
 
 def test_sampling_is_seed_deterministic():

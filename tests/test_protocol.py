@@ -81,7 +81,7 @@ def test_plan_conditioning_equals_successive_readouts():
         columns = [condition_on(condition_on(zero, first, a), second, b)
                    for a, b in ((1.0, 0.0), (0.0, 1.0))]
         gain = np.column_stack([c.mean for c in columns])
-        for actual, expected in ((plan.gain_map, gain), (plan.cond_cov, columns[0].cov)):
+        for actual, expected in ((plan.total - plan.ffwd, gain), (plan.cond_cov, columns[0].cov)):
             assert np.abs(actual - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
@@ -93,24 +93,25 @@ def test_plan_conditions_on_the_detected_state_of_circuit_states(monkeypatch):
     seen = []
     real = telecloning.protocol.conditional
 
-    def recording(state, sels):
-        seen.append(state)
-        return real(state, sels)
+    def recording(cov, sels):
+        seen.append(cov)
+        return real(cov, sels)
 
     monkeypatch.setattr(telecloning.protocol, "conditional", recording)
     rng = np.random.default_rng(31)
     configs = [protocol_config_from(load_config(str(CONFIGS / f"{name}.cfg")))
                for name in ("optimal", "classical", "paper")]
     configs += [random_config(rng) for _ in range(50)]
-    p_v = READOUT[1].index()
+    q = [sel.index() for sel in READOUT]
     for config in configs:
         seen.clear()
-        _measurement_plan(config)
+        plan = _measurement_plan(config)
         (conditioned,) = seen
         detected = circuit_states(config)["detected"]
-        assert detected.mean.tobytes() == conditioned.mean.tobytes()
-        assert detected.cov.tobytes() == conditioned.cov.tobytes()
-        assert alice_trace_levels(config)[0] == detected.cov[p_v, p_v]
+        assert detected.cov.tobytes() == conditioned.tobytes()
+        assert plan.base_mean.tobytes() == detected.mean[4:].tobytes()  # xB, pB, xC, pC
+        assert plan.mu_q.tobytes() == detected.mean[q].tobytes()
+        assert alice_trace_levels(config)[0] == detected.cov[q[1], q[1]]
 
 
 def test_network_keeps_x_and_p_apart():
