@@ -196,7 +196,9 @@ def _ndtri(y):
     if tail.size:
         t = flat.take(tail)
         upper = t > _ONE_MINUS_EXP_M2
-        t = np.where(upper, 1.0 - t, t)  # 1 - t is exact for t >= 1/2
+        # the smaller of t and 1 - t is the tail's distance from its end:
+        # t itself in the lower tail, and 1 - t, exact for t >= 1/2, in the upper
+        t = np.minimum(t, 1.0 - t)
         x = np.log(t)
         x *= -2.0
         np.sqrt(x, out=x)
@@ -210,7 +212,7 @@ def _ndtri(y):
             zf = z.take(far)
             x1[far] = _ratio(zf, _P2, _Q2, np.empty_like(zf), np.empty_like(zf))
         x0 -= x1
-        x0 *= np.where(upper, 1.0, -1.0)
+        x0 *= upper * 2.0 - 1.0  # +1 in the upper tail, -1 in the lower
         out[tail] = x0
     return out.reshape(y.shape)[()]  # a numpy scalar for a 0-d input
 

@@ -286,9 +286,11 @@ def _measurement_plan(config: ProtocolConfig) -> _MeasurementPlan:
 
     base_mean, mu_q, sigma_q = mean[keep], mean[q_idx], cov[q_idx[:, None], q_idx]
     total = gain + ffwd
+    spread = total @ sigma_q @ total.T
+    _require_finite("measurement plan", total, spread)
     return _MeasurementPlan(
         base_mean=base_mean, mu_q=mu_q, sigma_q=sigma_q, ffwd=ffwd, cond_cov=cond_cov,
-        total=total, offset=base_mean - gain @ mu_q, spread=total @ sigma_q @ total.T)
+        total=total, offset=base_mean - gain @ mu_q, spread=spread)
 
 
 def _require_finite(what: str, *values) -> None:
@@ -387,6 +389,17 @@ def run_monte_carlo(config: ProtocolConfig, sampled: bool = False
     refuses as too big for any array, and ``FloatingPointError`` when a
     moment overflows or when the samples' float spacing is too coarse for
     the shot-to-shot spread they should show.
+
+    Each chunk is reduced as it is drawn, in one chunk-sized buffer: a
+    two-pass mean and sum of squared deviations (M2) per clone quadrature,
+    and the peak |sample|. A run of at most ``_CHUNK_SHOTS`` shots keeps
+    the first chunk's values as they are, with numpy's ``mean`` and
+    ``var`` bits. Longer runs reduce every later chunk as deviations from
+    the first chunk's mean, so a large common mean leaves no rounding in
+    them, and merge each into the shots before it by the update of Chan,
+    Golub & LeVeque (1979): with delta the difference of the two means,
+    the mean moves by delta * m / n and M2 gains the chunk's M2 plus
+    delta**2 * (n - m) * m / n, for a chunk of m shots ending at shot n.
     """
     plan = _measurement_plan(config)
     assert_physical(GaussianState(plan.base_mean, plan.cond_cov),
@@ -396,27 +409,45 @@ def run_monte_carlo(config: ProtocolConfig, sampled: bool = False
     n = config.shots
     try:
         records = np.empty((6, n))
-        draws = np.empty((4, n)) if sampled else None
     except ValueError as exc:  # numpy refuses a size beyond its limits
         raise MemoryError(f"{n} shots: {exc}") from exc
+    # one chunk's raw clone quadratures when sampled; in both modes its
+    # shifted samples and squared deviations then overwrite them in turn
+    buffer = np.empty((4, min(n, _CHUNK_SHOTS)))
     for first in range(0, n, _CHUNK_SHOTS):
         stop = min(first + _CHUNK_SHOTS, n)
-        _simulate_shots(plan, config.seed, first, stop - first, cond_sqrt,
-                        records[:, first:stop],
-                        draws[:, first:stop] if sampled else None)
+        m = stop - first
+        chunk = buffer[:, :m]
+        _simulate_shots(plan, config.seed, first, m, cond_sqrt, records[:, first:stop],
+                        chunk if sampled else None)
+        # raw clone quadratures when sampled, else the conditional means
+        samples = chunk if sampled else records[2:, first:stop]
+        chunk_peak = np.maximum(samples.max(axis=1), -samples.min(axis=1))
+        if first:  # later chunks are reduced as deviations from the shift
+            samples = np.subtract(samples, shift[:, None], out=chunk)
+        # two passes, as numpy's mean and var
+        chunk_mean = samples.sum(axis=1) / m
+        dev = np.subtract(samples, chunk_mean[:, None], out=chunk)
+        if not first:
+            # the first chunk's mean is the shift, and its rounding error the
+            # first offset; a one-chunk run keeps the two-pass bits, since
+            # its offset and M2 start at -0.0, which adds exactly nothing
+            shift, peak, m2 = chunk_mean, chunk_peak, np.full(4, -0.0)
+            offset = dev.sum(axis=1) / m if n > m else np.full(4, -0.0)
+        dev *= dev
+        m2 += dev.sum(axis=1)
+        if first:
+            # Chan, Golub & LeVeque (1979): merge this chunk's m shots into
+            # the `first` shots before it, whose mean is shift + offset
+            delta = chunk_mean - offset
+            offset += delta * (m / stop)
+            m2 += delta * delta * (first * m / stop)
+            np.maximum(peak, chunk_peak, out=peak)
 
-    # raw clone quadratures when sampled, else the conditional means; the
-    # mean and the ddof=1 variance are numpy's mean and var, from one sum
-    samples = draws if sampled else records[2:]
-    mean = samples.sum(axis=1) / n
-    mean_hat = mean.tolist()
+    mean_hat = (shift + offset).tolist()
     cond_var = np.diag(plan.cond_cov)
     if n > 1:
-        peak = np.maximum(samples.max(axis=1), -samples.min(axis=1))
-        # the raw draws are not returned: their deviations may overwrite them
-        dev = np.subtract(samples, mean[:, None], out=draws)
-        dev *= dev
-        spread = dev.sum(axis=1) / (n - 1)
+        spread = m2 / (n - 1)
         var_hat = (spread if sampled else spread + cond_var).tolist()
         se_mean = np.sqrt(spread / n).tolist()
         se_var = (spread * math.sqrt(2.0 / (n - 1))).tolist()

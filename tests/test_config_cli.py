@@ -216,6 +216,24 @@ def test_sample_unwritable_csv_exits_1_without_output(capsys, tmp_path):
     assert not path.parent.exists()
 
 
+@pytest.mark.parametrize("mode", ((), ("--sampled",)))
+def test_sample_with_an_overflowing_measurement_plan_exits_2(capsys, tmp_path, mode):
+    # the plan's spread overflows to inf: plain sample exited 0 with both
+    # fidelities 0, and --sampled ended in a traceback from fidelity_general
+    path = tmp_path / "plan.cfg"
+    path.write_text("[squeezer_i]\nsqueezing_db = 6.426134295745629\n"
+                    "antisqueezing_db = 6.426134295745629\n"
+                    "[squeezer_ii]\nsqueezing_db = 300.418\nantisqueezing_db = 300.418\n"
+                    "[input]\nalpha_im = -3.9266619413165473e+40\n"
+                    "[gains]\ngx1 = 0\ngp1 = 9.62304617935657e+152\ngx2 = 0\ngp2 = 0\n"
+                    "[loss]\neta_homodyne = 0.9492080464234985\n"
+                    "eta_resource_a = 0.11140087526732123\neta_resource_b = 0\n"
+                    "eta_resource_c = 1e-9\ncoupler_t = 0.999\n[run]\nseed = 1010359718\n")
+    code, out, err = run_cli(capsys, "sample", str(path), "--shots", "50", *mode)
+    assert (code, out) == (2, "")
+    assert err == "numeric error: measurement plan overflows: a value is not finite\n"
+
+
 def test_commands_print_the_same_bytes_when_repeated_in_one_process(capsys, tmp_path):
     with pytest.raises(SystemExit):  # a rejected command line comes first
         main(["no-such-command"])

@@ -36,7 +36,7 @@ def test_golden_files_and_draws_are_the_same_without_avx512():
     result = _pytest_below_avx512("tests/test_golden.py", "tests/test_homodyne.py",
                                   "-k", "golden or ndtri or normal")
     assert result.returncode == 0, result.stdout[-3000:]
-    assert result.stdout.splitlines()[-1].startswith("29 passed")
+    assert result.stdout.splitlines()[-1].startswith("30 passed")
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the OPO pins were recorded with "

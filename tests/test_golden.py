@@ -9,6 +9,7 @@ The files in ``tests/data/golden/`` hold the exit code, stdout, stderr and
 only when an output is meant to change.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -58,6 +59,17 @@ def test_cli_output_matches_golden(name, capsys, tmp_path):
     assert csv_path.exists() == expected_csv.exists()
     if expected_csv.exists():
         assert _read(csv_path) == _read(expected_csv)
+
+
+def test_paper_csv_at_1e5_shots_keeps_its_sha256(capsys, tmp_path):
+    # 13 Monte Carlo chunks of 8192 shots and 25 CSV blocks of 4096 rows
+    csv_path = tmp_path / "shots.csv"
+    code = main(["sample", str(ROOT / "configs" / "paper.cfg"), "--shots", "100000",
+                 "--seed", "42", "--csv", str(csv_path)])
+    capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+        "7374ad1a79e76dbc781c58ef2ac7438729a47c77c61077e28c2400a0777145d5")
 
 
 def write_golden() -> None:

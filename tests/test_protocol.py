@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,60 @@ def test_monte_carlo_estimator_matches_per_mode_reference(shots, sampled):
               for clone in ("clone1", "clone2")
               for field in dataclasses.fields(moments.clone1)]
     assert actual == expected
+
+
+def _reduced_samples(config, sampled):
+    """What the moments reduce, as (4, shots): the raw clone quadratures
+    when sampled, else the clone means; and the variance added to them."""
+    plan = _measurement_plan(config)
+    records, draws = _simulate_shots(plan, config.seed, 0, config.shots,
+                                     _psd_sqrt(plan.cond_cov) if sampled else None)
+    return (draws, np.zeros(4)) if sampled else (records[2:], np.diag(plan.cond_cov))
+
+
+def _means_and_variances(moments):
+    clones = (moments.clone1, moments.clone2)
+    return (np.array([getattr(c, f"mean_{q}") for c in clones for q in "xp"]),
+            np.array([getattr(c, f"var_{q}") for c in clones for q in "xp"]))
+
+
+def _fsum_moments(samples, added):
+    n = samples.shape[1]
+    means = [math.fsum(row) / n for row in samples.tolist()]
+    return (np.array(means),
+            np.array([math.fsum((x - m) ** 2 for x in row) / (n - 1)
+                      for row, m in zip(samples.tolist(), means)]) + added)
+
+
+@pytest.mark.parametrize("sampled", (False, True))
+@pytest.mark.parametrize("shots, alpha, gain", (
+    (3, 5 + 3j, 1.0), (_CHUNK_SHOTS, 5 + 3j, 1.0),
+    # clone means near 1e155: a merge of the first chunk into an empty run
+    # would square a difference of 1e155 and multiply the inf by 0 shots
+    (64, 1e5 + 1e5j, 1e150),
+))
+def test_one_chunk_moments_are_the_two_pass_bits(shots, alpha, gain, sampled):
+    config = ProtocolConfig(OPT, OPT, input_alpha=alpha, gains=(gain,) * 4,
+                            shots=shots, seed=41)
+    samples, added = _reduced_samples(config, sampled)
+    mean, var = _means_and_variances(run_monte_carlo(config, sampled=sampled)[0])
+    assert mean.tobytes() == samples.mean(axis=1).tobytes()
+    assert var.tobytes() == (samples.var(axis=1, ddof=1) + added).tobytes()
+
+
+@pytest.mark.parametrize("sampled", (False, True))
+@pytest.mark.parametrize("alpha", (5 + 3j, 1e8 - 1e8j))
+def test_merged_chunk_moments_match_an_exact_sum(sampled, alpha):
+    # three chunks, the last one short; at |mean| = 1e8 each chunk's mean
+    # rounds by about 1e-8, and merging the rounded chunk means moved the
+    # variance by about 1e-10 of itself
+    config = optimal_config(shots=2 * _CHUNK_SHOTS + 7, seed=43)
+    config = dataclasses.replace(config, input_alpha=alpha)
+    samples, added = _reduced_samples(config, sampled)
+    mean, var = _means_and_variances(run_monte_carlo(config, sampled=sampled)[0])
+    ref_mean, ref_var = _fsum_moments(samples, added)
+    assert np.all(np.abs(mean - ref_mean) <= 1e-15 * np.abs(ref_mean))
+    assert np.all(np.abs(var - ref_var) <= 1e-15 * ref_var)
 
 
 def test_single_shot_run_is_valid():
