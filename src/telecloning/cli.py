@@ -8,7 +8,10 @@ a short human-readable summary goes to stderr. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
+import stat
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
 
@@ -18,7 +21,7 @@ from . import __version__
 from .config import ConfigError, load_config, opo_params_from, protocol_config_from
 from .csvtext import csv_rows
 from .gaussian import PhysicalityError
-from .homodyne import RNG_CONTRACT
+from .homodyne import MAX_SHOTS, RNG_CONTRACT
 from .metrics import UndefinedGainError, estimate_gains, fidelity_report
 from .opo import pump_spectra
 from .protocol import (
@@ -138,6 +141,39 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _sample_to_csv(config: ProtocolConfig, sampled: bool, path: str) -> CloneMoments:
+    """``run_monte_carlo`` writing each chunk's records to ``path`` as it is
+    drawn, in blocks of rows that keep the formatted text small. The file is
+    opened at the first chunk, once every check made before drawing has
+    passed, and removed if the run fails after that: its rows went out
+    before the moments were checked."""
+    handle = regular = None
+
+    def write(records: np.ndarray, first: int) -> None:
+        nonlocal handle, regular
+        if handle is None:
+            handle = open(path, "wb")
+            regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+            handle.write(b"shot,x_u,p_v,x1,p1,x2,p2\n")
+        for start in range(0, records.shape[1], _CSV_BLOCK_ROWS):
+            block = records[:, start:start + _CSV_BLOCK_ROWS].T
+            index = np.arange(first + start, first + start + len(block))
+            handle.write(csv_rows(block, index))
+
+    try:
+        moments, _ = run_monte_carlo(config, sampled, write)
+        handle.close()
+    except BaseException:
+        if regular:  # the rows sent to a pipe or device cannot be taken back
+            with contextlib.suppress(OSError):
+                os.unlink(os.path.realpath(path))  # the file written, also through a link
+        if handle is not None:
+            with contextlib.suppress(OSError):  # a full disk can fail the flush again
+                handle.close()
+        raise
+    return moments
+
+
 def cmd_sample(args) -> int:
     cfg = load_config(args.config)
     if args.shots is not None:
@@ -145,18 +181,16 @@ def cmd_sample(args) -> int:
     if args.seed is not None:
         cfg["run.seed"] = args.seed
     config = protocol_config_from(cfg)
-    moments, records = run_monte_carlo(config, args.sampled)
+    if config.shots > MAX_SHOTS:
+        raise ConfigError(f"shots must be at most 2**64 = {MAX_SHOTS}, "
+                          f"the shot indices of RNG contract {RNG_CONTRACT}")
     if args.csv:
         try:
-            with open(args.csv, "wb") as handle:
-                handle.write(b"shot,x_u,p_v,x1,p1,x2,p2\n")
-                # blocks of rows keep the formatted text small at any shot count
-                for first in range(0, records.shape[1], _CSV_BLOCK_ROWS):
-                    block = records[:, first:first + _CSV_BLOCK_ROWS].T
-                    index = np.arange(first, first + len(block))
-                    handle.write(csv_rows(block, index))
+            moments = _sample_to_csv(config, args.sampled, args.csv)
         except OSError as exc:
             raise ConfigError(f"cannot write {args.csv}: {exc.strerror or exc}") from exc
+    else:  # the records are read only for the CSV: each chunk is dropped
+        moments, _ = run_monte_carlo(config, args.sampled, lambda records, first: None)
     out = _run_output(cfg, config, moments, "monte-carlo")
     out["provenance"]["rng"] = RNG_CONTRACT
     _emit(out)

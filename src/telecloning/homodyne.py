@@ -46,6 +46,8 @@ RNG_CONTRACT = "philox4x64-10/ctr2j/ndtri52/v4"
 
 # raw words (draws) per Monte Carlo shot: two Philox4x64 blocks
 _WORDS_PER_SHOT = 8
+# shots a run can hold: the contract indexes them 0 .. 2**64 - 1
+MAX_SHOTS = 2**64
 
 
 class DegenerateVarianceError(ValueError):
@@ -237,7 +239,7 @@ def shot_normals(seed: int, first_shot: int, n_shots: int, draws: int) -> np.nda
     Returns shape (n_shots, draws). Row i holds draws 0..draws-1 of shot
     first_shot + i, the same values ``shot_stream`` yields for that shot.
     """
-    if first_shot < 0 or n_shots < 0 or first_shot + n_shots > 2**64:
+    if first_shot < 0 or n_shots < 0 or first_shot + n_shots > MAX_SHOTS:
         raise ValueError("shot indices must lie in [0, 2**64)")
     if not 0 <= draws <= _WORDS_PER_SHOT:
         raise ValueError(f"a shot has {_WORDS_PER_SHOT} draws, asked for {draws}")

@@ -35,7 +35,10 @@ The same physics is evaluated by three routes that must agree:
     clone variance combines the spread of the per-shot conditional means
     with the constant conditional covariance (law of total variance);
     ``sampled=True`` instead draws one quadrature value per clone per shot
-    and estimates everything from raw samples.
+    and estimates everything from raw samples. Each chunk is reduced into
+    the moments as it is drawn; the per-shot records are either kept whole
+    or, with a ``sink``, handed over one chunk at a time, so a run with a
+    sink holds the same memory at any shot count.
 
 Imperfections: per-mode resource transmissivities; homodyne efficiency
 as a loss channel on the measured ports, with the configured gains
@@ -48,8 +51,10 @@ the displacement.
 from __future__ import annotations
 
 import cmath
+import ctypes
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +92,21 @@ _SENDER_SPLITTER = symplectic_map(4, beam_splitter_50_50(), [MODE_IN, MODE_A])
 # 1e5-shot runs on a 2-core x86 host timed flat from 2**12 to 2**14 shots
 # per chunk and slower at 2**16, and 2**13 sits in that flat range
 _CHUNK_SHOTS = 1 << 13
+# glibc raises its mmap threshold to the size of a freed mmapped block, and
+# its trim threshold to twice that, for blocks up to 32 MiB (mallopt(3), the
+# dynamic mmap threshold). A run that keeps its records frees such a block;
+# one with a sink frees an untouched block of that size instead, so the chunk
+# temporaries are kept on the heap rather than trimmed after each chunk and
+# faulted back in. Through libc the block is never resident, and tracemalloc
+# does not count it. 64 KiB below 32 MiB leaves room for the chunk header.
+_RELEASED_BLOCK_MAX = (32 << 20) - (64 << 10)
+try:
+    _LIBC = ctypes.CDLL(None)
+    _LIBC.malloc.restype = ctypes.c_void_p
+    _LIBC.malloc.argtypes = (ctypes.c_size_t,)
+    _LIBC.free.argtypes = (ctypes.c_void_p,)
+except (OSError, AttributeError, TypeError):  # no C library to call by name
+    _LIBC = None
 # the largest rounding error of a reported Monte Carlo variance, relative to
 # that variance, that the moments accept: rounding moves each sample by at
 # most half its spacing s, so a spread of variance v by at most about
@@ -374,8 +394,9 @@ def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
-def run_monte_carlo(config: ProtocolConfig, sampled: bool = False
-                    ) -> tuple[CloneMoments, np.ndarray]:
+def run_monte_carlo(config: ProtocolConfig, sampled: bool = False,
+                    sink: Callable[[np.ndarray, int], None] | None = None
+                    ) -> tuple[CloneMoments, np.ndarray | None]:
     """Monte Carlo simulation of measurement plus feedforward.
 
     Returns estimated clone moments with standard errors and the per-shot
@@ -389,6 +410,16 @@ def run_monte_carlo(config: ProtocolConfig, sampled: bool = False
     refuses as too big for any array, and ``FloatingPointError`` when a
     moment overflows or when the samples' float spacing is too coarse for
     the shot-to-shot spread they should show.
+
+    With a ``sink``, no (6, shots) array is allocated and ``None`` is
+    returned in its place: each chunk's records are drawn into one reused
+    (6, min(shots, _CHUNK_SHOTS)) buffer and passed to ``sink(records,
+    first)`` as a read-only view, ``first`` being the index of its first
+    shot, before the chunk is reduced. Their concatenation is the array a
+    run without a sink returns. The sink is first called once every check
+    made before drawing has passed; the moments are checked only after its
+    last call, so a sink that writes the records out must discard them
+    when this raises.
 
     Each chunk is reduced as it is drawn, in one chunk-sized buffer: a
     two-pass mean and sum of squared deviations (M2) per clone quadrature,
@@ -407,21 +438,32 @@ def run_monte_carlo(config: ProtocolConfig, sampled: bool = False
     cond_sqrt = _psd_sqrt(plan.cond_cov) if sampled else None
 
     n = config.shots
-    try:
-        records = np.empty((6, n))
-    except ValueError as exc:  # numpy refuses a size beyond its limits
-        raise MemoryError(f"{n} shots: {exc}") from exc
+    size = min(n, _CHUNK_SHOTS)
+    if sink is None:
+        try:
+            records = np.empty((6, n))
+        except ValueError as exc:  # numpy refuses a size beyond its limits
+            raise MemoryError(f"{n} shots: {exc}") from exc
+    else:
+        records = np.empty((6, size))
+        if _LIBC is not None:  # the records' block, allocated and freed untouched
+            _LIBC.free(_LIBC.malloc(min(48 * n, _RELEASED_BLOCK_MAX)))
     # one chunk's raw clone quadratures when sampled; in both modes its
     # shifted samples and squared deviations then overwrite them in turn
-    buffer = np.empty((4, min(n, _CHUNK_SHOTS)))
+    buffer = np.empty((4, size))
     for first in range(0, n, _CHUNK_SHOTS):
         stop = min(first + _CHUNK_SHOTS, n)
         m = stop - first
         chunk = buffer[:, :m]
-        _simulate_shots(plan, config.seed, first, m, cond_sqrt, records[:, first:stop],
+        rows = records[:, first:stop] if sink is None else records[:, :m]
+        _simulate_shots(plan, config.seed, first, m, cond_sqrt, rows,
                         chunk if sampled else None)
+        if sink is not None:
+            view = rows.view()
+            view.flags.writeable = False
+            sink(view, first)
         # raw clone quadratures when sampled, else the conditional means
-        samples = chunk if sampled else records[2:, first:stop]
+        samples = chunk if sampled else rows[2:]
         chunk_peak = np.maximum(samples.max(axis=1), -samples.min(axis=1))
         if first:  # later chunks are reduced as deviations from the shift
             samples = np.subtract(samples, shift[:, None], out=chunk)
@@ -471,7 +513,7 @@ def run_monte_carlo(config: ProtocolConfig, sampled: bool = False
         return QuadratureMoments(*(f[j] for f in fields for j in (2 * k, 2 * k + 1)))
 
     records.flags.writeable = False
-    return CloneMoments(quad(0), quad(1)), records
+    return CloneMoments(quad(0), quad(1)), records if sink is None else None
 
 
 def alice_trace_levels(config: ProtocolConfig) -> tuple[float, float]:

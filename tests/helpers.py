@@ -1,11 +1,17 @@
-"""Shared builders for randomized property tests, and per-point references."""
+"""Shared builders for randomized property tests, per-point references, and
+the rerun of selected tests below AVX-512."""
 
 import configparser
 import io
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from telecloning import (
     DegenerateVarianceError,
@@ -30,6 +36,35 @@ from telecloning.config import _SCHEMA, ConfigError
 from telecloning.homodyne import conditional
 from telecloning.opo import _spectra
 from telecloning.protocol import READOUT
+
+ROOT = Path(__file__).resolve().parent.parent
+BELOW_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def assert_passes_below_avx512(*args) -> None:
+    """Run ``pytest -q args`` in a process whose numpy skips the AVX-512
+    loops, and require every test the selection collects there to pass:
+    at least one, and as many as ``--collect-only`` lists. Skips the calling
+    test where numpy refuses the variable."""
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=BELOW_AVX512)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = subprocess.run([sys.executable, "-W", "error", "-c", "import numpy"], env=env,
+                           capture_output=True, text=True, timeout=120)
+    if probe.returncode:
+        pytest.skip("numpy refuses NPY_DISABLE_CPU_FEATURES on this host: "
+                    + (probe.stderr.strip().splitlines() or ["no message"])[-1])
+
+    def run(*extra):
+        return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                               *extra, *args], env=env, cwd=ROOT, capture_output=True,
+                              text=True, timeout=600)
+
+    listed = run("--collect-only")
+    selected = sum("::" in line for line in listed.stdout.splitlines())
+    assert listed.returncode == 0 and selected, listed.stdout[-3000:]
+    result = run()
+    assert result.returncode == 0, result.stdout[-3000:]
+    assert result.stdout.splitlines()[-1].startswith(f"{selected} passed"), result.stdout[-3000:]
 
 
 def random_squeeze(rng) -> SymplecticMatrix:

@@ -1,11 +1,14 @@
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    assert_passes_below_avx512,
     random_config,
     reference_clones,
     reference_fidelity,
@@ -519,18 +523,7 @@ def test_round12_decides_every_decimal_near_tie_off_a_half():
 def test_writer_bytes_are_the_same_without_avx512():
     # numpy picks its SIMD loops by CPU at import; rerun the CSV byte-equality
     # tests in a process held to the loops below AVX-512
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    probe = subprocess.run([sys.executable, "-W", "error", "-c", "import numpy"], env=env,
-                           capture_output=True, text=True, timeout=120)
-    if probe.returncode:
-        pytest.skip("numpy refuses NPY_DISABLE_CPU_FEATURES on this host: "
-                    + (probe.stderr.strip().splitlines() or ["no message"])[-1])
-    result = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                             __file__, "-k", "csv or percent or python_route or round12"],
-                            env=env, cwd=ROOT, capture_output=True, text=True, timeout=600)
-    assert result.returncode == 0, result.stdout[-3000:]
-    assert result.stdout.splitlines()[-1].startswith("8 passed")
+    assert_passes_below_avx512(__file__, "-k", "csv or percent or python_route or round12")
 
 
 @pytest.mark.parametrize("param, start, stop", (
@@ -649,20 +642,19 @@ def test_non_finite_result_is_a_numeric_error(capsys, monkeypatch, value, shown)
     assert err == f"numeric error: result is not finite: {expected.value}\n"
 
 
+# the ids are those the two sweep cases had beside the three sample cases
+# that a streamed sample made valid, so a run's test names stay comparable
 @pytest.mark.parametrize("command, text", (
-    (("sample",), f"[run]\nshots = {10**13}\n"),
-    (("sweep", "--param", "squeezing_db", "--from", "0", "--to", "3",
-      "--steps", str(10**14)), ""),
-    # sizes numpy itself refuses, with a ValueError, before any allocation
-    (("sample", "--shots", str(2 * 10**17)), ""),
-    (("sample",), f"[run]\nshots = {10**20}\n"),
-    (("sweep", "--param", "squeezing_db", "--from", "0", "--to", "3",
-      "--steps", str(2 * 10**18)), ""),
+    pytest.param(("sweep", "--param", "squeezing_db", "--from", "0", "--to", "3",
+                  "--steps", str(10**14)), "", id="command1-"),
+    # a size numpy itself refuses, with a ValueError, before any allocation
+    pytest.param(("sweep", "--param", "squeezing_db", "--from", "0", "--to", "3",
+                  "--steps", str(2 * 10**18)), "", id="command4-"),
 ))
 def test_unallocatable_size_exits_1_without_output(capsys, tmp_path, command, text):
-    # 437 TiB of shot records and a 728 TiB grid both exceed the 2**47 bytes
-    # a process can map by default, so the allocation fails before any page
-    # is touched, whatever the overcommit setting
+    # a 728 TiB grid exceeds the 2**47 bytes a process can map by default, so
+    # the allocation fails before any page is touched, whatever the
+    # overcommit setting
     path = tmp_path / "huge.cfg"
     path.write_text(text)
     code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
@@ -670,6 +662,112 @@ def test_unallocatable_size_exits_1_without_output(capsys, tmp_path, command, te
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("config error: out of memory")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, text", (
+    ((), f"[run]\nshots = {10**20}\n"),
+    (("--shots", str(2**64 + 1), "--sampled"), ""),
+))
+def test_sample_beyond_the_shot_indices_exits_1_without_output(capsys, tmp_path, argv, text):
+    # the RNG contract indexes shots 0 .. 2**64 - 1; a streamed run holds no
+    # per-shot memory, so that is the only bound on the shot count
+    path, csv_path = tmp_path / "huge.cfg", tmp_path / "shots.csv"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "sample", str(path), *argv, "--csv", str(csv_path))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"config error: shots must be at most 2**64 = {2**64}, ")
+    assert not csv_path.exists()
+
+
+def test_sample_accepts_2_to_the_64_shots(capsys, monkeypatch):
+    import telecloning.cli
+
+    def stop(config, sampled, sink):
+        raise MemoryError(f"stopped before drawing {config.shots} shots")
+
+    monkeypatch.setattr(telecloning.cli, "run_monte_carlo", stop)
+    code, out, err = run_cli(capsys, "sample", str(CONFIGS / "paper.cfg"), "--shots", str(2**64))
+    assert (code, out) == (1, "")
+    assert err == f"config error: out of memory: stopped before drawing {2**64} shots\n"
+
+
+@pytest.mark.parametrize("mode", ((), ("--sampled",)))
+@pytest.mark.parametrize("existing", ("fresh", "replaced", "linked"))
+def test_sample_csv_is_removed_when_a_draw_fails_a_check(capsys, tmp_path, mode, existing):
+    # the rows go out as they are drawn and the moments are checked after
+    # the last chunk: a failing run leaves no CSV, nor the file it replaced,
+    # and through a symbolic link it removes the file the link named
+    text = (CONFIGS / "paper.cfg").read_text().replace("alpha_re = 5.0", "alpha_re = 1e16")
+    path, csv_path, target = tmp_path / "large.cfg", tmp_path / "shots.csv", tmp_path / "t.csv"
+    path.write_text(text)
+    if existing == "replaced":
+        csv_path.write_bytes(b"shot,x_u\n0,1\n")
+    if existing == "linked":
+        target.write_bytes(b"shot,x_u\n0,1\n")
+        csv_path.symlink_to(target)
+    code, out, err = run_cli(capsys, "sample", str(path), "--shots", "20000",
+                             "--csv", str(csv_path), *mode)
+    assert (code, out) == (2, "")
+    assert err.startswith("numeric error: Monte Carlo samples are too coarse")
+    assert not csv_path.exists() and not target.exists()
+
+
+def test_sample_csv_is_removed_when_a_write_fails(capsys, tmp_path, monkeypatch):
+    import telecloning.cli
+
+    blocks = []
+
+    def fill_the_disk(values, index):
+        blocks.append(index[0])
+        if len(blocks) == 3:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return csv_rows(values, index)
+
+    monkeypatch.setattr(telecloning.cli, "csv_rows", fill_the_disk)
+    csv_path = tmp_path / "shots.csv"
+    code, out, err = run_cli(capsys, "sample", str(CONFIGS / "paper.cfg"), "--shots", "20000",
+                             "--csv", str(csv_path))
+    assert (code, out) == (1, "")
+    assert err == f"config error: cannot write {csv_path}: {os.strerror(errno.ENOSPC)}\n"
+    assert blocks == [0, 4096, 8192]  # two chunks started
+    assert not csv_path.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_sample_csv_keeps_a_pipe_when_a_draw_fails_a_check(capsys, tmp_path):
+    # rows sent down a pipe cannot be taken back, and the pipe is not the
+    # run's to remove (nor would a device such as /dev/null be)
+    text = (CONFIGS / "paper.cfg").read_text().replace("alpha_re = 5.0", "alpha_re = 1e16")
+    path, pipe = tmp_path / "large.cfg", tmp_path / "rows"
+    path.write_text(text)
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    code, out, err = run_cli(capsys, "sample", str(path), "--shots", "20000", "--csv", str(pipe))
+    reader.join(timeout=60)
+    assert (code, out) == (2, "")
+    assert err.startswith("numeric error: Monte Carlo samples are too coarse")
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+    assert received[0].count(b"\n") == 20001
+
+
+@pytest.mark.parametrize("mode", ((), ("--sampled",)))
+def test_sample_csv_keeps_an_existing_file_when_the_run_fails_before_drawing(
+        capsys, tmp_path, mode):
+    # the negative conditioned variance of the 300 dB config below fails the
+    # check made before the first chunk, so the file is never opened
+    path, csv_path = tmp_path / "negative.cfg", tmp_path / "shots.csv"
+    path.write_text("[squeezer_ii]\nantisqueezing_db = 300.0\n"
+                    "[input]\nalpha_re = 40.0\nalpha_im = 80.0\n[gains]\ngx2 = 300.0\n"
+                    "[loss]\neta_resource_a = 0.999\neta_resource_b = 1e-09\n")
+    csv_path.write_bytes(b"shot,x_u\n0,1\n")
+    code, out, err = run_cli(capsys, "sample", str(path), "--shots", "1000",
+                             "--csv", str(csv_path), *mode)
+    assert (code, out) == (2, "")
+    assert err.startswith("physicality error: unphysical state in conditioned receiver modes")
+    assert csv_path.read_bytes() == b"shot,x_u\n0,1\n"
 
 
 @pytest.mark.parametrize("command, text", (

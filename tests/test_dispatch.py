@@ -4,43 +4,21 @@ numpy picks its SIMD loops by CPU at import, and ``NPY_DISABLE_CPU_FEATURES``
 holds a process below a level. A host with AVX-512 then also checks the
 bits that a host without it computes; otherwise a dispatch dependence shows
 only as a failing suite on such a host. The CSV writer's byte tests are
-rerun the same way in ``test_config_cli.py``.
+rerun through the same helper, ``helpers.assert_passes_below_avx512``, in
+``test_config_cli.py``.
 """
-
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-BELOW_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
-
-
-def _pytest_below_avx512(*args) -> subprocess.CompletedProcess:
-    """``pytest -q args`` in a process whose numpy skips the AVX-512 loops;
-    skips the calling test where numpy refuses the variable."""
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=BELOW_AVX512)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    probe = subprocess.run([sys.executable, "-W", "error", "-c", "import numpy"], env=env,
-                           capture_output=True, text=True, timeout=120)
-    if probe.returncode:
-        pytest.skip("numpy refuses NPY_DISABLE_CPU_FEATURES on this host: "
-                    + (probe.stderr.strip().splitlines() or ["no message"])[-1])
-    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
-                          env=env, cwd=ROOT, capture_output=True, text=True, timeout=600)
+from helpers import assert_passes_below_avx512
 
 
 def test_golden_files_and_draws_are_the_same_without_avx512():
-    result = _pytest_below_avx512("tests/test_golden.py", "tests/test_homodyne.py",
-                                  "-k", "golden or ndtri or normal")
-    assert result.returncode == 0, result.stdout[-3000:]
-    assert result.stdout.splitlines()[-1].startswith("30 passed")
+    assert_passes_below_avx512("tests/test_golden.py", "tests/test_homodyne.py",
+                               "-k", "golden or ndtri or normal")
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the OPO pins were recorded with "
                    "numpy's AVX-512 log10, which rounds some values differently")
 def test_opo_pins_are_the_same_without_avx512():
-    result = _pytest_below_avx512("tests/test_opo.py", "-k", "pinned")
-    assert result.returncode == 0, result.stdout[-3000:]
+    assert_passes_below_avx512("tests/test_opo.py", "-k", "pinned")

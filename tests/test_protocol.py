@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -431,6 +432,45 @@ def test_records_are_prefixes_across_chunks(sampled):
         _, prefix = run_monte_carlo(dataclasses.replace(longer, shots=n),
                                     sampled=sampled)
         assert np.array_equal(records[:, :n], prefix)
+
+
+@pytest.mark.parametrize("sampled", (False, True))
+@pytest.mark.parametrize("shots", (1, _CHUNK_SHOTS, _CHUNK_SHOTS + 1, 20_000))
+def test_sink_gets_the_records_chunk_by_chunk(sampled, shots):
+    # the same moments, and chunks that concatenate to the kept records
+    config = optimal_config(shots=shots, seed=23)
+    moments, records = run_monte_carlo(config, sampled=sampled)
+    chunks, firsts = [], []
+
+    def sink(chunk, first):
+        assert not chunk.flags.writeable
+        chunks.append(chunk.copy())
+        firsts.append(first)
+
+    streamed, kept = run_monte_carlo(config, sampled=sampled, sink=sink)
+    assert kept is None
+    assert streamed == moments
+    assert firsts == list(range(0, shots, _CHUNK_SHOTS))
+    assert np.concatenate(chunks, axis=1).tobytes() == records.tobytes()
+
+
+def _sink_run_peak_bytes(shots: int, sampled: bool) -> int:
+    config = optimal_config(shots=shots, seed=5)
+    tracemalloc.start()
+    try:
+        run_monte_carlo(config, sampled=sampled, sink=lambda chunk, first: None)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("sampled", (False, True))
+def test_sink_run_memory_does_not_grow_with_the_shots(sampled):
+    # 8x the shots: kept records would add 48 bytes a shot, 44 MB here; the
+    # first run is a warm-up, so both measured runs start from the same state
+    _sink_run_peak_bytes(2, sampled)
+    small, large = _sink_run_peak_bytes(2**17, sampled), _sink_run_peak_bytes(2**20, sampled)
+    assert large - small < 2**20, (small, large)
 
 
 def test_sampled_mode_keeps_records_and_draws_per_shot():
