@@ -33,7 +33,6 @@ from .homodyne import (
     QuadratureSelector,
     condition_on,
     marginal,
-    sample_homodyne,
     shot_normals,
     shot_stream,
 )

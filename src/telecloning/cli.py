@@ -21,7 +21,7 @@ from . import __version__
 from .config import ConfigError, load_config, opo_params_from, protocol_config_from
 from .csvtext import csv_rows
 from .gaussian import PhysicalityError
-from .homodyne import MAX_SHOTS, RNG_CONTRACT
+from .homodyne import RNG_CONTRACT
 from .metrics import UndefinedGainError, estimate_gains, fidelity_report
 from .opo import pump_spectra
 from .protocol import (
@@ -161,7 +161,7 @@ def _sample_to_csv(config: ProtocolConfig, sampled: bool, path: str) -> CloneMom
             handle.write(csv_rows(block, index))
 
     try:
-        moments, _ = run_monte_carlo(config, sampled, write)
+        moments = run_monte_carlo(config, sampled, write)
         handle.close()
     except BaseException:
         if regular:  # the rows sent to a pipe or device cannot be taken back
@@ -181,16 +181,13 @@ def cmd_sample(args) -> int:
     if args.seed is not None:
         cfg["run.seed"] = args.seed
     config = protocol_config_from(cfg)
-    if config.shots > MAX_SHOTS:
-        raise ConfigError(f"shots must be at most 2**64 = {MAX_SHOTS}, "
-                          f"the shot indices of RNG contract {RNG_CONTRACT}")
     if args.csv:
         try:
             moments = _sample_to_csv(config, args.sampled, args.csv)
         except OSError as exc:
             raise ConfigError(f"cannot write {args.csv}: {exc.strerror or exc}") from exc
-    else:  # the records are read only for the CSV: each chunk is dropped
-        moments, _ = run_monte_carlo(config, args.sampled, lambda records, first: None)
+    else:
+        moments = run_monte_carlo(config, args.sampled)
     out = _run_output(cfg, config, moments, "monte-carlo")
     out["provenance"]["rng"] = RNG_CONTRACT
     _emit(out)
@@ -313,7 +310,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        # a shots or --steps value too large for this machine's memory
+        # a --steps value too large for this machine's memory
         print(f"config error: out of memory: {exc}", file=sys.stderr)
         return 1
     except PhysicalityError as exc:

@@ -24,9 +24,10 @@ Cephes ``ndtri`` (Moshier, "Methods and Programs for Mathematical
 Functions", 1989) evaluated with numpy in ``_ndtri``. Draws repeat exactly
 on one host; across hosts, numpy's ``log`` may round a tail value
 differently, so draws agree to a few ulp. ``shot_normals``
-reads a whole range of shots in one call; ``shot_stream(seed, j)`` hands
-out the draws of one shot one at a time. A shot has 8 draws, so shot j
-depends only on (seed, j), never on how many shots run or in what order.
+reads a whole range of shots in one call, the only way the package draws;
+``shot_stream(seed, j)`` hands out the draws of one shot one at a time,
+for the benchmark's tracer. A shot has 8 draws, so shot j depends only on
+(seed, j), never on how many shots run or in what order.
 """
 
 from __future__ import annotations
@@ -106,18 +107,6 @@ def condition_on(state: GaussianState, sel: QuadratureSelector,
     """State of the unmeasured modes given an observed quadrature value."""
     keep, gain, cov = conditional(state.cov, [sel])
     return GaussianState(state.mean[keep] + gain[:, 0] * (value - state.mean[sel.index()]), cov)
-
-
-def sample_homodyne(state: GaussianState, sel: QuadratureSelector,
-                    rng) -> tuple[float, GaussianState]:
-    """Draw an outcome from the marginal: ``(value, conditioned state)``.
-
-    ``rng`` is anything with ``normal(loc, scale)``: a numpy ``Generator``
-    or a ``shot_stream``.
-    """
-    m, v = marginal(state, sel)
-    value = float(rng.normal(m, np.sqrt(v)))
-    return value, condition_on(state, sel, value)
 
 
 # Cephes ndtri (S. L. Moshier, "Methods and Programs for Mathematical

@@ -36,9 +36,8 @@ The same physics is evaluated by three routes that must agree:
     with the constant conditional covariance (law of total variance);
     ``sampled=True`` instead draws one quadrature value per clone per shot
     and estimates everything from raw samples. Each chunk is reduced into
-    the moments as it is drawn; the per-shot records are either kept whole
-    or, with a ``sink``, handed over one chunk at a time, so a run with a
-    sink holds the same memory at any shot count.
+    the moments as it is drawn and its per-shot records are handed to an
+    optional ``sink``, so a run holds the same memory at any shot count.
 
 Imperfections: per-mode resource transmissivities; homodyne efficiency
 as a loss channel on the measured ports, with the configured gains
@@ -71,6 +70,8 @@ from .gaussian import (
     VACUUM_VARIANCE,
 )
 from .homodyne import (
+    MAX_SHOTS,
+    RNG_CONTRACT,
     QuadratureSelector,
     conditional,
     shot_normals,
@@ -94,11 +95,11 @@ _SENDER_SPLITTER = symplectic_map(4, beam_splitter_50_50(), [MODE_IN, MODE_A])
 _CHUNK_SHOTS = 1 << 13
 # glibc raises its mmap threshold to the size of a freed mmapped block, and
 # its trim threshold to twice that, for blocks up to 32 MiB (mallopt(3), the
-# dynamic mmap threshold). A run that keeps its records frees such a block;
-# one with a sink frees an untouched block of that size instead, so the chunk
-# temporaries are kept on the heap rather than trimmed after each chunk and
-# faulted back in. Through libc the block is never resident, and tracemalloc
-# does not count it. 64 KiB below 32 MiB leaves room for the chunk header.
+# dynamic mmap threshold). A run frees an untouched block of the size a
+# (6, shots) records array would have, so the chunk temporaries are kept on
+# the heap rather than trimmed after each chunk and faulted back in. Through
+# libc the block is never resident, and tracemalloc does not count it.
+# 64 KiB below 32 MiB leaves room for the chunk header.
 _RELEASED_BLOCK_MAX = (32 << 20) - (64 << 10)
 try:
     _LIBC = ctypes.CDLL(None)
@@ -147,6 +148,9 @@ class ProtocolConfig:
             raise ValueError("coupler_t must lie in (0, 1]")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        if self.shots > MAX_SHOTS:
+            raise ValueError(f"shots must be at most 2**64 = {MAX_SHOTS}, "
+                             f"the shot indices of RNG contract {RNG_CONTRACT}")
 
     @functools.cached_property
     def resource(self) -> GaussianState:
@@ -396,30 +400,26 @@ def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
 
 def run_monte_carlo(config: ProtocolConfig, sampled: bool = False,
                     sink: Callable[[np.ndarray, int], None] | None = None
-                    ) -> tuple[CloneMoments, np.ndarray | None]:
+                    ) -> CloneMoments:
     """Monte Carlo simulation of measurement plus feedforward.
 
-    Returns estimated clone moments with standard errors and the per-shot
-    records: a read-only (6, shots) float64 array whose rows are the Bell
-    outcomes x_u and p_v and the clone means x1, p1, x2 and p2. With
+    Returns estimated clone moments with standard errors. With
     ``sampled=False`` the variance estimate adds the exact conditional
     covariance to the spread of the conditional means; with
     ``sampled=True`` one output quadrature vector is drawn per shot and
-    the moments come from those raw samples. Raises ``MemoryError`` when
-    the shot records cannot be allocated, also for a shot count numpy
-    refuses as too big for any array, and ``FloatingPointError`` when a
-    moment overflows or when the samples' float spacing is too coarse for
-    the shot-to-shot spread they should show.
+    the moments come from those raw samples. Raises ``FloatingPointError``
+    when a moment overflows or when the samples' float spacing is too
+    coarse for the shot-to-shot spread they should show.
 
-    With a ``sink``, no (6, shots) array is allocated and ``None`` is
-    returned in its place: each chunk's records are drawn into one reused
-    (6, min(shots, _CHUNK_SHOTS)) buffer and passed to ``sink(records,
-    first)`` as a read-only view, ``first`` being the index of its first
-    shot, before the chunk is reduced. Their concatenation is the array a
-    run without a sink returns. The sink is first called once every check
-    made before drawing has passed; the moments are checked only after its
-    last call, so a sink that writes the records out must discard them
-    when this raises.
+    No array grows with the shot count: each chunk's per-shot records are
+    drawn into one reused (6, min(shots, _CHUNK_SHOTS)) float64 buffer,
+    whose rows are the Bell outcomes x_u and p_v and the clone means x1,
+    p1, x2 and p2. A ``sink`` gets them as ``sink(records, first)``, a
+    read-only view, ``first`` being the index of its first shot, before
+    the chunk is reduced; without one they are dropped. The sink is first
+    called once every check made before drawing has passed; the moments
+    are checked only after its last call, so a sink that writes the
+    records out must discard them when this raises.
 
     Each chunk is reduced as it is drawn, in one chunk-sized buffer: a
     two-pass mean and sum of squared deviations (M2) per clone quadrature,
@@ -439,23 +439,16 @@ def run_monte_carlo(config: ProtocolConfig, sampled: bool = False,
 
     n = config.shots
     size = min(n, _CHUNK_SHOTS)
-    if sink is None:
-        try:
-            records = np.empty((6, n))
-        except ValueError as exc:  # numpy refuses a size beyond its limits
-            raise MemoryError(f"{n} shots: {exc}") from exc
-    else:
-        records = np.empty((6, size))
-        if _LIBC is not None:  # the records' block, allocated and freed untouched
-            _LIBC.free(_LIBC.malloc(min(48 * n, _RELEASED_BLOCK_MAX)))
+    records = np.empty((6, size))
+    if _LIBC is not None:  # a records-sized block, allocated and freed untouched
+        _LIBC.free(_LIBC.malloc(min(48 * n, _RELEASED_BLOCK_MAX)))
     # one chunk's raw clone quadratures when sampled; in both modes its
     # shifted samples and squared deviations then overwrite them in turn
     buffer = np.empty((4, size))
     for first in range(0, n, _CHUNK_SHOTS):
         stop = min(first + _CHUNK_SHOTS, n)
         m = stop - first
-        chunk = buffer[:, :m]
-        rows = records[:, first:stop] if sink is None else records[:, :m]
+        chunk, rows = buffer[:, :m], records[:, :m]
         _simulate_shots(plan, config.seed, first, m, cond_sqrt, rows,
                         chunk if sampled else None)
         if sink is not None:
@@ -512,8 +505,7 @@ def run_monte_carlo(config: ProtocolConfig, sampled: bool = False,
     def quad(k):
         return QuadratureMoments(*(f[j] for f in fields for j in (2 * k, 2 * k + 1)))
 
-    records.flags.writeable = False
-    return CloneMoments(quad(0), quad(1)), records if sink is None else None
+    return CloneMoments(quad(0), quad(1))
 
 
 def alice_trace_levels(config: ProtocolConfig) -> tuple[float, float]:

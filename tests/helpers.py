@@ -1,10 +1,13 @@
-"""Shared builders for randomized property tests, per-point references, and
-the rerun of selected tests below AVX-512."""
+"""Shared builders for randomized property tests, per-point references, the
+whole records of a Monte Carlo run, and the rerun of selected tests below
+AVX-512."""
 
 import configparser
+import functools
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -28,6 +31,7 @@ from telecloning import (
     displace,
     loss_channel,
     phase_shift,
+    run_monte_carlo,
     squeezed_vacuum,
     tensor,
     vacuum,
@@ -41,30 +45,51 @@ ROOT = Path(__file__).resolve().parent.parent
 BELOW_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
 
 
-def assert_passes_below_avx512(*args) -> None:
-    """Run ``pytest -q args`` in a process whose numpy skips the AVX-512
-    loops, and require every test the selection collects there to pass:
-    at least one, and as many as ``--collect-only`` lists. Skips the calling
-    test where numpy refuses the variable."""
+@functools.cache
+def _below_avx512() -> tuple[dict, str | None]:
+    """The environment of a process whose numpy skips the AVX-512 loops, and
+    why this host cannot run one (``None`` where it can); probed once."""
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=BELOW_AVX512)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     probe = subprocess.run([sys.executable, "-W", "error", "-c", "import numpy"], env=env,
                            capture_output=True, text=True, timeout=120)
-    if probe.returncode:
-        pytest.skip("numpy refuses NPY_DISABLE_CPU_FEATURES on this host: "
-                    + (probe.stderr.strip().splitlines() or ["no message"])[-1])
+    if not probe.returncode:
+        return env, None
+    return env, ("numpy refuses NPY_DISABLE_CPU_FEATURES on this host: "
+                 + (probe.stderr.strip().splitlines() or ["no message"])[-1])
 
-    def run(*extra):
-        return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                               *extra, *args], env=env, cwd=ROOT, capture_output=True,
-                              text=True, timeout=600)
 
-    listed = run("--collect-only")
-    selected = sum("::" in line for line in listed.stdout.splitlines())
-    assert listed.returncode == 0 and selected, listed.stdout[-3000:]
-    result = run()
-    assert result.returncode == 0, result.stdout[-3000:]
-    assert result.stdout.splitlines()[-1].startswith(f"{selected} passed"), result.stdout[-3000:]
+def only_passed(summary: str) -> bool:
+    """Whether pytest's last ``-q`` line reports at least one passed test
+    and nothing but passed and deselected ones: a failed, skipped, xfailed
+    or xpassed test, or one whose file fails to collect (an error), fails it."""
+    counts = dict((kind, int(n)) for n, kind in re.findall(r"(\d+) (\w+)", summary))
+    return counts.get("passed", 0) > 0 and set(counts) <= {"passed", "deselected"}
+
+
+def assert_passes_below_avx512(*args) -> None:
+    """Run ``pytest -q args`` in a process whose numpy skips the AVX-512
+    loops, and require every test the selection collects there to pass, at
+    least one (``only_passed``). Skips the calling test where numpy refuses
+    the variable."""
+    env, refusal = _below_avx512()
+    if refusal:
+        pytest.skip(refusal)
+    result = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                             *args], env=env, cwd=ROOT, capture_output=True, text=True,
+                            timeout=600)
+    lines = result.stdout.splitlines() or [""]
+    assert result.returncode == 0 and only_passed(lines[-1]), result.stdout[-3000:]
+
+
+def collect_records(config: ProtocolConfig, sampled: bool = False):
+    """``run_monte_carlo`` with a sink that keeps every chunk: the moments
+    and the whole read-only (6, shots) records, rows x_u, p_v, x1, p1, x2, p2."""
+    chunks = []
+    moments = run_monte_carlo(config, sampled, lambda chunk, first: chunks.append(chunk.copy()))
+    records = np.concatenate(chunks, axis=1)
+    records.flags.writeable = False
+    return moments, records
 
 
 def random_squeeze(rng) -> SymplecticMatrix:

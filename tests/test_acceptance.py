@@ -18,22 +18,20 @@ from telecloning import (
     build_telecloning_resource,
     circuit_states,
     clone_output_state,
+    condition_on,
     db_to_variance,
     fidelity_unit_gain,
     fidelity_vs_pump,
     is_physical,
+    marginal,
     optimal_squeezing,
     run_analytic,
     run_circuit_analytic,
-    run_monte_carlo,
-    sample_homodyne,
-    shot_stream,
     squeezing_spectra,
     symplectic_eigenvalues,
-    QuadratureSelector,
 )
-from telecloning.protocol import _measurement_plan, _simulate_shots
-from helpers import random_config
+from telecloning.protocol import READOUT, _measurement_plan, _simulate_shots
+from helpers import collect_records, random_config
 
 R_STAR, E_MINUS_2R, OPT_DB = optimal_squeezing()
 OPT_SPEC = SqueezerSpec.pure(OPT_DB)
@@ -115,7 +113,7 @@ def test_criterion_6_monte_carlo_convergence():
     t0 = time.perf_counter()
     config = ProtocolConfig(OPT_SPEC, OPT_SPEC, input_alpha=5 + 3j,
                             shots=100_000, seed=424242)
-    mc, records = run_monte_carlo(config)
+    mc, records = collect_records(config)
     ana = run_circuit_analytic(config)
     within = True
     for est, truth in ((mc.clone1, ana.clone1), (mc.clone2, ana.clone2)):
@@ -126,7 +124,7 @@ def test_criterion_6_monte_carlo_convergence():
     f_mc = fidelity_unit_gain(mc.clone1.var_x, mc.clone1.var_p)
     fid_ok = abs(f_mc - 2 / 3) < 0.01
 
-    _, again = run_monte_carlo(config)
+    _, again = collect_records(config)
     deterministic = np.array_equal(records, again)
     plan = _measurement_plan(config)
     permuted = [_simulate_shots(plan, config.seed, j, 1)[0][:, 0]
@@ -174,12 +172,11 @@ def test_criterion_8_physicality_suite():
     for config in configs:
         states = list(circuit_states(config).values())
         states.append(clone_output_state(config))
-        detected = circuit_states(config)["detected"]
-        stream = shot_stream(config.seed, 0)
-        _, st = sample_homodyne(detected, QuadratureSelector(1, "x"), stream)
-        states.append(st)
-        _, st = sample_homodyne(st, QuadratureSelector(0, "p"), stream)
-        states.append(st)
+        # the sender's readout, each outcome at its marginal mean
+        st = circuit_states(config)["detected"]
+        for sel in READOUT:
+            st = condition_on(st, sel, marginal(st, sel)[0])
+            states.append(st)
         for state in states:
             checked += 1
             floor = min(floor, symplectic_eigenvalues(state).min())

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
-    assert_passes_below_avx512,
+    collect_records,
     random_config,
     reference_clones,
     reference_fidelity,
@@ -397,7 +397,6 @@ def test_integer_beyond_float_range_exits_1(capsys, tmp_path, key):
 
 
 def test_sample_csv_matches_csv_writer_rendering(capsys, tmp_path):
-    from telecloning import run_monte_carlo
     path = tmp_path / "shots.csv"
     shots = 2 * _CSV_BLOCK_ROWS + 7  # two block seams and a partial block
     code, out, _ = run_cli(capsys, "sample", str(CONFIGS / "paper.cfg"),
@@ -406,7 +405,7 @@ def test_sample_csv_matches_csv_writer_rendering(capsys, tmp_path):
     assert json.loads(out)["provenance"]["rng"] == "philox4x64-10/ctr2j/ndtri52/v4"
     cfg = load_config(str(CONFIGS / "paper.cfg"))
     cfg["run.shots"], cfg["run.seed"] = shots, 77
-    _, records = run_monte_carlo(protocol_config_from(cfg))
+    _, records = collect_records(protocol_config_from(cfg))
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["shot", "x_u", "p_v", "x1", "p1", "x2", "p2"])
@@ -479,10 +478,9 @@ def test_csv_rows_write_the_bytes_of_percent(rows, with_index, data):
 def test_few_monte_carlo_values_take_the_python_route():
     # the vectorised writer's speed rests on this share: the values it
     # leaves to Python are the scaled values exactly at a half (41 here)
-    from telecloning import run_monte_carlo
     cfg = load_config(str(CONFIGS / "paper.cfg"))
     cfg["run.shots"], cfg["run.seed"] = 100_000, 1401
-    _, records = run_monte_carlo(protocol_config_from(cfg))
+    _, records = collect_records(protocol_config_from(cfg))
     slow = _round12(records.ravel())[2]
     assert np.count_nonzero(slow) < 82  # twice the count, 1.4e-4 of the 6e5 values
 
@@ -518,12 +516,6 @@ def test_round12_decides_every_decimal_near_tie_off_a_half():
     assert 0 < np.count_nonzero(on_half) < values.size
     expected = [int(("%.11e" % v).split("e")[0].replace(".", "").lstrip("-")) for v in values]
     assert np.array_equal(digits[~slow], np.array(expected)[~slow])
-
-
-def test_writer_bytes_are_the_same_without_avx512():
-    # numpy picks its SIMD loops by CPU at import; rerun the CSV byte-equality
-    # tests in a process held to the loops below AVX-512
-    assert_passes_below_avx512(__file__, "-k", "csv or percent or python_route or round12")
 
 
 @pytest.mark.parametrize("param, start, stop", (
@@ -680,10 +672,28 @@ def test_sample_beyond_the_shot_indices_exits_1_without_output(capsys, tmp_path,
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize("command", (
+    ("run",), ("criteria",),
+    ("sweep", "--param", "squeezing_db", "--from", "0", "--to", "3", "--steps", "2"),
+), ids=("run", "criteria", "sweep"))
+def test_commands_that_draw_no_shot_keep_the_shot_limit(capsys, tmp_path, command):
+    # one acceptance rule per config: ProtocolConfig bounds the shots for
+    # every command, so 2**64 goes through and 2**64 + 1 is the config error
+    # that sample gives, though these commands draw no shot
+    path = tmp_path / "shots.cfg"
+    path.write_text(f"[run]\nshots = {2**64 + 1}\n")
+    code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"config error: shots must be at most 2**64 = {2**64}, "
+                          "the shot indices of RNG contract ")
+    path.write_text(f"[run]\nshots = {2**64}\n")
+    assert run_cli(capsys, command[0], str(path), *command[1:])[0] == 0
+
+
 def test_sample_accepts_2_to_the_64_shots(capsys, monkeypatch):
     import telecloning.cli
 
-    def stop(config, sampled, sink):
+    def stop(config, sampled, sink=None):
         raise MemoryError(f"stopped before drawing {config.shots} shots")
 
     monkeypatch.setattr(telecloning.cli, "run_monte_carlo", stop)

@@ -15,7 +15,6 @@ from telecloning import (
     condition_on,
     is_physical,
     marginal,
-    sample_homodyne,
     shot_normals,
     shot_stream,
     squeezed_vacuum,
@@ -179,14 +178,25 @@ def test_joint_conditioning_rejects_bad_selectors():
         conditional(narrow.cov, [X0, QuadratureSelector(1, "x")])
 
 
+def outcomes(state, sel, seed, n):
+    """Readouts of ``sel`` on shots 0..n-1: the marginal mean plus its
+    standard deviation times each shot's first draw."""
+    m, v = marginal(state, sel)
+    return m + np.sqrt(v) * shot_normals(seed, 0, n, 1)[:, 0]
+
+
 def test_sampling_is_seed_deterministic():
     st = random_state(np.random.default_rng(3), 2)
-    out1, st1 = sample_homodyne(st, X0, shot_stream(11, 0))
-    out2, st2 = sample_homodyne(st, X0, shot_stream(11, 0))
-    assert out1 == out2
-    assert np.array_equal(st1.mean, st2.mean)
-    out3, _ = sample_homodyne(st, X0, shot_stream(11, 1))
-    assert out3 != out1
+    for seed in (11, -17):
+        values = outcomes(st, X0, seed, 2)
+        assert np.array_equal(values, outcomes(st, X0, seed, 2))
+        assert values[0] != values[1]  # each shot draws its own value
+        assert values[0] != outcomes(st, X0, seed + 1, 1)[0]
+        # the conditioned state follows its outcome bit for bit
+        assert np.array_equal(condition_on(st, X0, values[0]).mean,
+                              condition_on(st, X0, outcomes(st, X0, seed, 1)[0]).mean)
+    # seeds that agree mod 2**64 key the same generator
+    assert np.array_equal(outcomes(st, X0, -17, 3), outcomes(st, X0, 2**64 - 17, 3))
 
 
 def test_shot_stream_handles_negative_seed():
@@ -197,46 +207,28 @@ def test_shot_stream_handles_negative_seed():
         shot_stream(5, -1)
 
 
-class _Draw:
-    """One standard normal handed out by ``normal(loc, scale)``, as
-    ``shot_stream`` hands out a shot's first draw."""
-
-    def __init__(self, z):
-        self.z = z
-
-    def normal(self, loc=0.0, scale=1.0):
-        return loc + scale * self.z
-
-
-def first_draws(seed, n):
-    """Draw 0 of shots 0..n-1, from one ``shot_normals`` batch."""
-    return [_Draw(z) for z in shot_normals(seed, 0, n, 1)[:, 0]]
-
-
 def test_outcome_variance_matches_marginal():
     # 1e5 vacuum samples: sample variance within 5 standard errors of 1/4
     n = 100_000
-    state = vacuum(2)
-    values = np.array([sample_homodyne(state, X0, draw)[0] for draw in first_draws(5, n)])
-    streamed = [sample_homodyne(state, X0, shot_stream(5, j))[0] for j in range(2000)]
-    assert values[:2000].tolist() == streamed
+    values = outcomes(vacuum(2), X0, 5, n)
     se = 0.25 * np.sqrt(2.0 / (n - 1))
     assert abs(values.var(ddof=1) - 0.25) < 5 * se
     assert abs(values.mean()) < 5 * np.sqrt(0.25 / n)
 
 
 def test_law_of_total_expectation():
-    # averaging conditioned means over sampled outcomes recovers the prior mean
+    # averaging conditioned means over sampled outcomes recovers the prior
+    # mean; the gain of ``conditional`` applied to all outcomes at once gives
+    # the means ``condition_on`` gives one outcome at a time
     st = random_state(np.random.default_rng(4), 2)
     sel = QuadratureSelector(0, "p")
     n = 100_000
-    keep_idx = [2, 3]
-    conditioned = np.array([sample_homodyne(st, sel, draw)[1].mean
-                            for draw in first_draws(6, n)])
-    streamed = np.array([sample_homodyne(st, sel, shot_stream(6, j))[1].mean
-                         for j in range(2000)])
-    assert np.array_equal(conditioned[:2000], streamed)
-    prior = st.mean[keep_idx]
+    values = outcomes(st, sel, 6, n)
+    keep, gain, _ = conditional(st.cov, [sel])
+    conditioned = st.mean[keep] + (values - st.mean[sel.index()])[:, None] * gain[:, 0]
+    for j in (0, 1, 99_999):
+        assert np.array_equal(conditioned[j], condition_on(st, sel, values[j]).mean)
+    prior = st.mean[keep]
     spread = conditioned.std(axis=0, ddof=1)
     assert np.all(np.abs(conditioned.mean(axis=0) - prior) < 5 * spread / np.sqrt(n) + 1e-12)
 

@@ -172,7 +172,7 @@ def test_gain_estimates_recover_configured_gains():
                             input_alpha=4 - 2j, gains=gains)
     g = estimate_gains(run_analytic(config), 4 - 2j)
     assert (g.g_x1, g.g_p1, g.g_x2, g.g_p2) == pytest.approx(gains, abs=1e-9)
-    mc, _ = run_monte_carlo(
+    mc = run_monte_carlo(
         ProtocolConfig(SqueezerSpec.pure(5), SqueezerSpec.pure(5),
                        input_alpha=4 - 2j, gains=gains, shots=20_000, seed=3))
     g_mc = estimate_gains(mc, 4 - 2j)

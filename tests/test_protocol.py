@@ -17,12 +17,12 @@ from telecloning import (
     clone_output_state,
     displace,
     is_physical,
+    marginal,
     optimal_squeezing,
     run_analytic,
     run_circuit_analytic,
     run_monte_carlo,
-    sample_homodyne,
-    shot_stream,
+    shot_normals,
 )
 from telecloning.protocol import (
     _CHUNK_SHOTS,
@@ -32,7 +32,12 @@ from telecloning.protocol import (
     _simulate_shots,
 )
 from telecloning.config import load_config, protocol_config_from
-from helpers import random_config, reference_circuit_states, reference_clone_state
+from helpers import (
+    collect_records,
+    random_config,
+    reference_circuit_states,
+    reference_clone_state,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -216,7 +221,7 @@ def test_circuit_path_asymmetric_gains_and_losses():
 
 def test_monte_carlo_matches_analytic():
     config = optimal_config(shots=30_000, seed=123)
-    mc, records = run_monte_carlo(config)
+    mc, records = collect_records(config)
     ana = run_circuit_analytic(config)
     assert records.shape == (6, 30_000)
     for est, truth in ((mc.clone1, ana.clone1), (mc.clone2, ana.clone2)):
@@ -231,7 +236,7 @@ def test_monte_carlo_matches_analytic_with_imperfections():
                             input_alpha=-1 + 4j, gains=(1.1, 0.9, 1.0, 1.0),
                             eta_homodyne=0.95, eta_resource=(0.98, 0.96, 0.96),
                             coupler_t=0.99, shots=30_000, seed=321)
-    mc, _ = run_monte_carlo(config)
+    mc = run_monte_carlo(config)
     ana = run_circuit_analytic(config)
     for est, truth in ((mc.clone1, ana.clone1), (mc.clone2, ana.clone2)):
         assert abs(est.mean_x - truth.mean_x) < 5 * est.se_mean_x
@@ -241,7 +246,7 @@ def test_monte_carlo_matches_analytic_with_imperfections():
 
 def test_monte_carlo_sampled_mode_consistent():
     config = optimal_config(shots=20_000, seed=77)
-    mc, _ = run_monte_carlo(config, sampled=True)
+    mc = run_monte_carlo(config, sampled=True)
     ana = run_circuit_analytic(config)
     for est, truth in ((mc.clone1, ana.clone1), (mc.clone2, ana.clone2)):
         assert abs(est.mean_x - truth.mean_x) < 5 * est.se_mean_x
@@ -250,17 +255,17 @@ def test_monte_carlo_sampled_mode_consistent():
 
 def test_monte_carlo_seed_determinism():
     config = optimal_config(shots=500, seed=9)
-    _, r1 = run_monte_carlo(config)
-    _, r2 = run_monte_carlo(config)
+    _, r1 = collect_records(config)
+    _, r2 = collect_records(config)
     assert np.array_equal(r1, r2)
-    _, r3 = run_monte_carlo(dataclasses.replace(config, seed=10))
+    _, r3 = collect_records(dataclasses.replace(config, seed=10))
     assert not np.array_equal(r1, r3)
 
 
 def test_monte_carlo_order_independent():
     # shot j depends only on (seed, j), so any execution order agrees
     config = optimal_config(shots=64, seed=5)
-    _, records = run_monte_carlo(config)
+    _, records = collect_records(config)
     plan = _measurement_plan(config)
     shuffled = [_simulate_shots(plan, config.seed, j, 1)[0][:, 0]
                 for j in reversed(range(64))]
@@ -268,21 +273,27 @@ def test_monte_carlo_order_independent():
 
 
 def test_monte_carlo_agrees_with_measurement_operations():
-    # the vectorized shot loop reproduces the explicit chain of
-    # sample / condition / displace operations draw for draw
+    # the vectorized shot loop reproduces the explicit chain of readout,
+    # conditioning and displacement: each outcome is its marginal's mean plus
+    # its standard deviation times the shot's own draw, x_u read first and
+    # p_v from the state x_u leaves
     config = ProtocolConfig(SqueezerSpec(6, 7), SqueezerSpec(6, 7),
                             input_alpha=2 - 1j, gains=(1.2, 0.8, 0.9, 1.1),
                             eta_homodyne=0.9, shots=25, seed=99)
-    _, records = run_monte_carlo(config)
+    _, records = collect_records(config)
+    z = shot_normals(config.seed, 0, config.shots, 2)
     detected = circuit_states(config)["detected"]
     scale = np.sqrt(2.0 / config.eta_homodyne)
     gx1, gp1, gx2, gp2 = config.gains
     for j, rec in enumerate(records.T):
-        rng = shot_stream(config.seed, j)
-        out_x, st = sample_homodyne(detected, QuadratureSelector(1, "x"), rng)
-        out_p, st = sample_homodyne(st, QuadratureSelector(0, "p"), rng)
-        st = displace(st, 0, scale * gx1 * out_x, scale * gp1 * out_p)
-        st = displace(st, 1, scale * gx2 * out_x, scale * gp2 * out_p)
+        m, v = marginal(detected, QuadratureSelector(1, "x"))
+        out_x = m + np.sqrt(v) * z[j, 0]
+        st = condition_on(detected, QuadratureSelector(1, "x"), rec[0])
+        m, v = marginal(st, QuadratureSelector(0, "p"))
+        out_p = m + np.sqrt(v) * z[j, 1]
+        st = condition_on(st, QuadratureSelector(0, "p"), rec[1])
+        st = displace(st, 0, scale * gx1 * rec[0], scale * gp1 * rec[1])
+        st = displace(st, 1, scale * gx2 * rec[0], scale * gp2 * rec[1])
         assert rec[0] == pytest.approx(out_x, abs=1e-12)
         assert rec[1] == pytest.approx(out_p, abs=1e-12)
         assert np.allclose(rec[2:], st.mean, atol=1e-10)
@@ -291,7 +302,7 @@ def test_monte_carlo_agrees_with_measurement_operations():
 def test_bell_outcome_distribution():
     # sampled x_u variance matches (Var(x_in) + Var(x_A)) / 2
     config = optimal_config(shots=30_000, seed=13)
-    _, records = run_monte_carlo(config)
+    _, records = collect_records(config)
     x_u = records[0]
     joint = circuit_states(config)["joint"]
     expect = 0.5 * (joint.cov[0, 0] + joint.cov[2, 2])
@@ -305,7 +316,7 @@ def test_monte_carlo_estimator_matches_per_mode_reference(shots, sampled):
     # the estimator as first written, one branch per mode
     config = ProtocolConfig(SqueezerSpec(5, 8), SqueezerSpec(4, 6), input_alpha=1 - 2j,
                             eta_homodyne=0.9, shots=shots, seed=23)
-    moments, records = run_monte_carlo(config, sampled=sampled)
+    moments, records = collect_records(config, sampled=sampled)
     plan = _measurement_plan(config)
     cond_var = np.diag(plan.cond_cov)
     means = records[2:]
@@ -366,7 +377,7 @@ def test_one_chunk_moments_are_the_two_pass_bits(shots, alpha, gain, sampled):
     config = ProtocolConfig(OPT, OPT, input_alpha=alpha, gains=(gain,) * 4,
                             shots=shots, seed=41)
     samples, added = _reduced_samples(config, sampled)
-    mean, var = _means_and_variances(run_monte_carlo(config, sampled=sampled)[0])
+    mean, var = _means_and_variances(run_monte_carlo(config, sampled=sampled))
     assert mean.tobytes() == samples.mean(axis=1).tobytes()
     assert var.tobytes() == (samples.var(axis=1, ddof=1) + added).tobytes()
 
@@ -380,14 +391,14 @@ def test_merged_chunk_moments_match_an_exact_sum(sampled, alpha):
     config = optimal_config(shots=2 * _CHUNK_SHOTS + 7, seed=43)
     config = dataclasses.replace(config, input_alpha=alpha)
     samples, added = _reduced_samples(config, sampled)
-    mean, var = _means_and_variances(run_monte_carlo(config, sampled=sampled)[0])
+    mean, var = _means_and_variances(run_monte_carlo(config, sampled=sampled))
     ref_mean, ref_var = _fsum_moments(samples, added)
     assert np.all(np.abs(mean - ref_mean) <= 1e-15 * np.abs(ref_mean))
     assert np.all(np.abs(var - ref_var) <= 1e-15 * ref_var)
 
 
 def test_single_shot_run_is_valid():
-    moments, records = run_monte_carlo(optimal_config(shots=1, seed=1))
+    moments, records = collect_records(optimal_config(shots=1, seed=1))
     assert records.shape == (6, 1)
     assert moments.clone1.se_mean_x is None  # spread undefined from one shot
     assert moments.clone1.var_x > 0
@@ -427,19 +438,18 @@ def test_records_are_prefixes_across_chunks(sampled):
     # shot j depends only on (seed, j): a longer run extends a shorter one,
     # also where the longer run crosses a chunk boundary the shorter does not
     longer = optimal_config(shots=2 * _CHUNK_SHOTS + 5, seed=31)
-    _, records = run_monte_carlo(longer, sampled=sampled)
+    _, records = collect_records(longer, sampled=sampled)
     for n in (1, _CHUNK_SHOTS - 1, _CHUNK_SHOTS + 2):
-        _, prefix = run_monte_carlo(dataclasses.replace(longer, shots=n),
-                                    sampled=sampled)
+        _, prefix = collect_records(dataclasses.replace(longer, shots=n), sampled=sampled)
         assert np.array_equal(records[:, :n], prefix)
 
 
 @pytest.mark.parametrize("sampled", (False, True))
 @pytest.mark.parametrize("shots", (1, _CHUNK_SHOTS, _CHUNK_SHOTS + 1, 20_000))
 def test_sink_gets_the_records_chunk_by_chunk(sampled, shots):
-    # the same moments, and chunks that concatenate to the kept records
+    # the moments of a run without a sink, and chunks that concatenate to
+    # the records of one batch of all the shots
     config = optimal_config(shots=shots, seed=23)
-    moments, records = run_monte_carlo(config, sampled=sampled)
     chunks, firsts = [], []
 
     def sink(chunk, first):
@@ -447,18 +457,18 @@ def test_sink_gets_the_records_chunk_by_chunk(sampled, shots):
         chunks.append(chunk.copy())
         firsts.append(first)
 
-    streamed, kept = run_monte_carlo(config, sampled=sampled, sink=sink)
-    assert kept is None
-    assert streamed == moments
+    assert run_monte_carlo(config, sampled=sampled, sink=sink) == run_monte_carlo(
+        config, sampled=sampled)
     assert firsts == list(range(0, shots, _CHUNK_SHOTS))
+    records, _ = _simulate_shots(_measurement_plan(config), config.seed, 0, shots)
     assert np.concatenate(chunks, axis=1).tobytes() == records.tobytes()
 
 
-def _sink_run_peak_bytes(shots: int, sampled: bool) -> int:
+def _run_peak_bytes(shots: int, sampled: bool, sink) -> int:
     config = optimal_config(shots=shots, seed=5)
     tracemalloc.start()
     try:
-        run_monte_carlo(config, sampled=sampled, sink=lambda chunk, first: None)
+        run_monte_carlo(config, sampled=sampled, sink=sink)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -466,19 +476,22 @@ def _sink_run_peak_bytes(shots: int, sampled: bool) -> int:
 
 @pytest.mark.parametrize("sampled", (False, True))
 def test_sink_run_memory_does_not_grow_with_the_shots(sampled):
-    # 8x the shots: kept records would add 48 bytes a shot, 44 MB here; the
-    # first run is a warm-up, so both measured runs start from the same state
-    _sink_run_peak_bytes(2, sampled)
-    small, large = _sink_run_peak_bytes(2**17, sampled), _sink_run_peak_bytes(2**20, sampled)
-    assert large - small < 2**20, (small, large)
+    # 8x the shots, with a sink and without: kept records would add 48 bytes
+    # a shot, 44 MB here; the first run is a warm-up, so both measured runs
+    # start from the same state
+    for sink in (lambda chunk, first: None, None):
+        _run_peak_bytes(2, sampled, sink)
+        small = _run_peak_bytes(2**17, sampled, sink)
+        large = _run_peak_bytes(2**20, sampled, sink)
+        assert large - small < 2**20, (sink, small, large)
 
 
 def test_sampled_mode_keeps_records_and_draws_per_shot():
     config = ProtocolConfig(SqueezerSpec(5, 8), SqueezerSpec(5, 8),
                             input_alpha=1 + 2j, eta_homodyne=0.95,
                             shots=40, seed=17)
-    _, plain = run_monte_carlo(config)
-    _, sampled = run_monte_carlo(config, sampled=True)
+    _, plain = collect_records(config)
+    _, sampled = collect_records(config, sampled=True)
     assert np.array_equal(plain, sampled)
     plan = _measurement_plan(config)
     cond_sqrt = _psd_sqrt(plan.cond_cov)
@@ -490,8 +503,10 @@ def test_sampled_mode_keeps_records_and_draws_per_shot():
 
 
 def test_shot_records_sequence():
-    # one read-only float64 row per field: x_u, p_v, x1, p1, x2, p2
-    _, records = run_monte_carlo(optimal_config(shots=5, seed=2))
+    # the sink gets one read-only float64 row per field: x_u, p_v, x1, p1, x2, p2
+    chunks = []
+    run_monte_carlo(optimal_config(shots=5, seed=2), sink=lambda chunk, first: chunks.append(chunk))
+    (records,) = chunks
     assert records.shape == (6, 5) and records.dtype == np.float64
     with pytest.raises(ValueError):
         records[0, 0] = 1.0
