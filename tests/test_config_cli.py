@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    assert_passes_below_avx512,
     collect_records,
     random_config,
     reference_clones,
@@ -516,6 +517,12 @@ def test_round12_decides_every_decimal_near_tie_off_a_half():
     assert 0 < np.count_nonzero(on_half) < values.size
     expected = [int(("%.11e" % v).split("e")[0].replace(".", "").lstrip("-")) for v in values]
     assert np.array_equal(digits[~slow], np.array(expected)[~slow])
+
+
+def test_writer_bytes_are_the_same_without_avx512():
+    # numpy picks its SIMD loops by CPU at import; rerun the CSV byte-equality
+    # tests in a process held to the loops below AVX-512
+    assert_passes_below_avx512(__file__, "-k", "csv or percent or python_route or round12")
 
 
 @pytest.mark.parametrize("param, start, stop", (

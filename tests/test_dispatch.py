@@ -3,8 +3,9 @@
 numpy picks its SIMD loops by CPU at import, and ``NPY_DISABLE_CPU_FEATURES``
 holds a process below a level. A host with AVX-512 then also checks the
 bits that a host without it computes; otherwise a dispatch dependence shows
-only as a failing suite on such a host. The golden files, the draws and the
-CSV writer's byte tests are rerun in one process.
+only as a failing suite on such a host. The CSV writer's byte tests are
+rerun through the same helper, ``helpers.assert_passes_below_avx512``, in
+``test_config_cli.py``.
 """
 
 import pytest
@@ -14,8 +15,7 @@ from helpers import assert_passes_below_avx512, only_passed
 
 def test_golden_files_and_draws_are_the_same_without_avx512():
     assert_passes_below_avx512("tests/test_golden.py", "tests/test_homodyne.py",
-                               "tests/test_config_cli.py", "-k", "golden or ndtri or normal "
-                               "or csv or percent or python_route or round12")
+                               "-k", "golden or ndtri or normal")
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the OPO pins were recorded with "
