@@ -6,8 +6,14 @@ Conventions used throughout the package:
   a = x + i p, with [x, p] = i/2 (photon-number units), so every
   quadrature of the vacuum has variance 1/4;
 * moments are stored in the interleaved ordering (x1, p1, ..., xn, pn);
-* a state is physical iff every symplectic eigenvalue of its covariance
-  matrix is at least 1/4.
+* a state is physical iff its covariance V satisfies the bona fide
+  condition V + (i/4) Omega >= 0 (Simon, PRL 84, 2726 (2000)), that is,
+  iff every symplectic eigenvalue of V is at least 1/4 and V > 0.
+  ``assert_physical`` tests it as one Hermitian eigenproblem: the
+  smallest eigenvalue of V + (i/4) Omega may fall below 0 by at most
+  PHYSICALITY_TOL + 8 n eps ||V||_inf, the rounding a backward-stable
+  ``eigvalsh`` can make on an n x n matrix (Weyl), so the test's own
+  rounding rejects no state, however squeezed.
 
 Every linear-optics element is a Gaussian channel ``(X, Y)``: mean -> X mean,
 V -> X V X^T + Y (Weedbrook et al., RMP 84, 621 (2012), sec. II.D). A
@@ -33,6 +39,7 @@ VACUUM_VARIANCE = 0.25
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-9
 MIN_VARIANCE_PRODUCT = VACUUM_VARIANCE**2 - 1e-12  # v_x * v_p bound, less rounding slack
+_EPS = float(np.finfo(float).eps)
 
 
 class PhysicalityError(ValueError):
@@ -50,6 +57,7 @@ def _is_symmetric(matrix: np.ndarray) -> bool:
 
 
 _OMEGAS: dict[int, np.ndarray] = {}  # read-only symplectic form per mode count
+_SHIFTS: dict[int, np.ndarray] = {}  # read-only (i/4) Omega per mode count
 
 
 def _omega(n_modes: int) -> np.ndarray:
@@ -57,6 +65,14 @@ def _omega(n_modes: int) -> np.ndarray:
         _OMEGAS[n_modes] = np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
         _OMEGAS[n_modes].flags.writeable = False
     return _OMEGAS[n_modes]
+
+
+def _bona_fide_shift(n_modes: int) -> np.ndarray:
+    """(i/4) Omega: V + (i/4) Omega >= 0 is the bona fide condition."""
+    if n_modes not in _SHIFTS:
+        _SHIFTS[n_modes] = VACUUM_VARIANCE * 1j * _omega(n_modes)
+        _SHIFTS[n_modes].flags.writeable = False
+    return _SHIFTS[n_modes]
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -283,6 +299,8 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
     which come in +/- pairs; one representative per pair is returned. The
     covariance is symmetric: ``GaussianState`` checks it. The values mean
     something only for a positive-definite one: diag(1, -1) gives [1].
+    They are ill-conditioned for a nearly pure, highly squeezed state, so
+    ``assert_physical`` does not use them.
     """
     omega = _omega(state.n_modes)
     nu = np.sort(np.abs(np.linalg.eigvals(1j * omega @ state.cov)))
@@ -299,16 +317,29 @@ def is_physical(state: GaussianState) -> bool:
 
 
 def assert_physical(state: GaussianState, context: str = "") -> None:
-    """Raise PhysicalityError unless every variance is positive (necessary
-    for a positive-definite covariance, not sufficient: [[1, 2], [2, 1]]
-    passes) and every symplectic eigenvalue is >= 1/4 - PHYSICALITY_TOL."""
+    """Raise PhysicalityError unless every variance is positive and the
+    smallest eigenvalue of V + (i/4) Omega is at least
+    -(PHYSICALITY_TOL + 8 n eps ||V||_inf), n the dimension of V and
+    ||V||_inf its largest absolute row sum.
+
+    ``eigvalsh`` is backward stable, so by Weyl's inequality each computed
+    eigenvalue of the Hermitian V + (i/4) Omega lies within about
+    8 n eps ||V||_inf of the exact one: the bound is the test's own
+    rounding, and it grows with the squeezing. A covariance with an
+    infinite or NaN entry raises LinAlgError.
+    """
     where = f" in {context}" if context else ""
-    v_min = state.cov.diagonal().min()
-    if v_min <= 0.0:  # a NaN goes on to eigvals' LinAlgError, a numeric error
+    cov = state.cov
+    v_min = cov.diagonal().min()
+    if v_min <= 0.0:  # a NaN goes on to the LinAlgError below, a numeric error
         raise PhysicalityError(f"unphysical state{where}: variance {v_min:.12g} is not positive")
-    nu_min = symplectic_eigenvalues(state).min()
-    if nu_min < VACUUM_VARIANCE - PHYSICALITY_TOL:
+    if not np.isfinite(cov).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    dim = cov.shape[0]
+    bound = PHYSICALITY_TOL + 8 * dim * _EPS * np.abs(cov).sum(axis=1).max()
+    lam_min = np.linalg.eigvalsh(cov + _bona_fide_shift(dim // 2))[0]
+    if not lam_min >= -bound:  # a NaN fails too
         raise PhysicalityError(
-            f"unphysical state{where}: smallest symplectic eigenvalue "
-            f"{nu_min:.12g} < {VACUUM_VARIANCE}"
+            f"unphysical state{where}: smallest eigenvalue of V + (i/4) Omega "
+            f"{lam_min:.12g} < -{bound:.12g}"
         )

@@ -53,6 +53,7 @@ import cmath
 import ctypes
 import functools
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -146,6 +147,8 @@ class ProtocolConfig:
             raise ValueError("eta_homodyne must lie in (0, 1]")
         if not 0.0 < self.coupler_t <= 1.0:
             raise ValueError("coupler_t must lie in (0, 1]")
+        if not isinstance(self.shots, numbers.Integral):
+            raise ValueError(f"shots must be an integer, got {self.shots!r}")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
         if self.shots > MAX_SHOTS:

@@ -194,6 +194,20 @@ def test_sample_negative_conditioned_variance_exits_2(capsys, tmp_path, mode):
                           "variance -")
 
 
+@pytest.mark.parametrize("argv", (("run",), ("sample", "--shots", "16"),
+                                  ("sample", "--shots", "16", "--sampled")))
+def test_physicality_checks_make_no_general_eigvals_call(capsys, monkeypatch, argv):
+    # each check is one Hermitian eigvalsh: the non-Hermitian eigvals of
+    # i Omega V cost twice as much and rejected valid states above ~80 dB
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvals was called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    code, out, err = run_cli(capsys, argv[0], str(CONFIGS / "paper.cfg"), *argv[1:])
+    assert code == 0, err
+    assert json.loads(out)
+
+
 def test_sample_writes_deterministic_csv(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -32,6 +33,7 @@ from telecloning.gaussian import (
     loss_map,
     symplectic_map,
 )
+from telecloning.resource import SqueezerSpec, build_telecloning_resource
 from helpers import random_state, random_squeeze
 
 
@@ -363,9 +365,9 @@ def test_negative_variance_is_unphysical(diagonal):
     (random_state(np.random.default_rng(4), 3).cov, True),
     (np.diag([1.0, -1.0]), False),
     (np.diag([1.0, 1.0, -3.0, -3.0]), False),
-    (np.diag([0.25 - 2e-9, 0.25 - 2e-9, 1.0, 1.0]), False),  # nu_min below 1/4 - 1e-9
-    # not positive definite, yet both pass: the gap a Hermitian test closes (ROADMAP item 1)
-    (np.array([[1.0, 2.0], [2.0, 1.0]]), True),
+    (np.diag([0.25 - 2e-9, 0.25 - 2e-9, 1.0, 1.0]), False),  # eigenvalue -2e-9, tolerance 1e-9
+    # positive variances, not positive definite: V + (i/4) Omega has eigenvalue -1.02
+    (np.array([[1.0, 2.0], [2.0, 1.0]]), False),
 ), ids=("random", "negative-x", "negative-pair", "below-bound", "indefinite"))
 def test_is_physical_is_whether_assert_physical_passes(cov, physical):
     state = GaussianState(np.zeros(len(cov)), cov)
@@ -375,3 +377,60 @@ def test_is_physical_is_whether_assert_physical_passes(cov, physical):
     except PhysicalityError:
         passed = False
     assert is_physical(state) == passed == physical
+
+
+def _unchecked_state(cov) -> GaussianState:
+    """A state holding ``cov`` as given: ``GaussianState`` refuses a NaN off
+    the diagonal as asymmetric, and the check must not rely on that."""
+    state = object.__new__(GaussianState)
+    object.__setattr__(state, "mean", np.zeros(len(cov)))
+    object.__setattr__(state, "cov", np.array(cov, dtype=float))
+    return state
+
+
+@pytest.mark.parametrize("entry", (np.inf, -np.inf, np.nan))
+def test_non_finite_covariance_is_a_numeric_error(entry):
+    # eigvalsh returns NaN on an inf entry and raises nothing; the check
+    # raises numpy's own non-finite error, which the CLI reports as exit 2
+    cov = np.eye(4)
+    cov[0, 3] = cov[3, 0] = entry
+    for check in (assert_physical, is_physical):
+        with pytest.raises(np.linalg.LinAlgError, match="^Array must not contain infs or NaNs$"):
+            check(_unchecked_state(cov))
+
+
+def _exact_smallest_eigenvalue(cov: np.ndarray):
+    """Smallest eigenvalue of cov + (i/4) Omega, for the float entries of
+    cov as they are, in 60-digit arithmetic."""
+    n = len(cov)
+    shift = 0.25 * symplectic_form(n // 2)
+    with mpmath.workdps(60):
+        h = mpmath.matrix([[mpmath.mpc(float(cov[i, j]), float(shift[i, j])) for j in range(n)]
+                           for i in range(n)])
+        return min(mpmath.eighe(h, eigvals_only=True))
+
+
+@pytest.mark.parametrize("impurity_db", (0.0, 3.0), ids=("pure", "impure"))
+def test_physicality_check_agrees_with_a_60_digit_oracle(monkeypatch, impurity_db):
+    # every symmetric resource is physical by construction, up to the
+    # rounding of its float covariance, which grows with the squeezing
+    built = []
+    monkeypatch.setattr("telecloning.resource.assert_physical",
+                        lambda state, context: built.append(state))
+    for level in np.linspace(0.0, 150.0, 11):
+        spec = SqueezerSpec(level, level + impurity_db)
+        build_telecloning_resource(spec, spec)
+    for state in built:
+        cov = state.cov
+        exact = _exact_smallest_eigenvalue(cov)
+        weyl = 8 * len(cov) * np.finfo(float).eps * np.abs(cov).sum(axis=1).max()
+        computed = np.linalg.eigvalsh(cov + 0.25j * symplectic_form(3))[0]
+        assert abs(computed - exact) <= weyl, (cov[0, 0], computed, exact)
+        if exact >= 0:
+            assert is_physical(state), (cov[0, 0], exact)
+        assert_physical(state)
+    # a thermal mode 2e-9 below the vacuum is twice the tolerance below it
+    thermal = GaussianState(np.zeros(2), np.diag([0.25 - 2e-9] * 2))
+    assert _exact_smallest_eigenvalue(thermal.cov) < -1.9e-9
+    with pytest.raises(PhysicalityError, match=r"^unphysical state: smallest eigenvalue "):
+        assert_physical(thermal)

@@ -31,7 +31,7 @@ from telecloning.protocol import (
     _psd_sqrt,
     _simulate_shots,
 )
-from telecloning.config import load_config, protocol_config_from
+from telecloning.config import ConfigError, load_config, parse_config, protocol_config_from
 from helpers import (
     collect_records,
     random_config,
@@ -65,6 +65,18 @@ def test_config_validation():
         ProtocolConfig(OPT, OPT, eta_resource=(1.0, 1.2, 1.0))
     with pytest.raises(ValueError):
         ProtocolConfig(OPT, OPT, gains=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("shots", (2.5, 16.0, "16", None))
+def test_config_rejects_non_integer_shots(shots):
+    # numpy would refuse any of these as a buffer size inside run_monte_carlo;
+    # the CLI reports the ConfigError as exit 1
+    with pytest.raises(ValueError, match=r"^shots must be an integer, got "):
+        ProtocolConfig(OPT, OPT, shots=shots)
+    cfg = dict(parse_config(""), **{"run.shots": shots})
+    with pytest.raises(ConfigError, match=r"^shots must be an integer, got "):
+        protocol_config_from(cfg)
+    assert run_monte_carlo(ProtocolConfig(OPT, OPT, shots=np.int64(16))).clone1.var_x > 0.0
 
 
 @pytest.mark.parametrize("alpha", (complex(np.nan, 0.0), complex(0.0, np.inf),
