@@ -8,12 +8,8 @@ Conventions used throughout the package:
 * moments are stored in the interleaved ordering (x1, p1, ..., xn, pn);
 * a state is physical iff its covariance V satisfies the bona fide
   condition V + (i/4) Omega >= 0 (Simon, PRL 84, 2726 (2000)), that is,
-  iff every symplectic eigenvalue of V is at least 1/4 and V > 0.
-  ``assert_physical`` tests it as one Hermitian eigenproblem: the
-  smallest eigenvalue of V + (i/4) Omega may fall below 0 by at most
-  PHYSICALITY_TOL + 8 n eps ||V||_inf, the rounding a backward-stable
-  ``eigvalsh`` can make on an n x n matrix (Weyl), so the test's own
-  rounding rejects no state, however squeezed.
+  iff every symplectic eigenvalue of V is at least 1/4 and V > 0, which
+  ``assert_physical`` tests within its own rounding, however squeezed.
 
 Every linear-optics element is a Gaussian channel ``(X, Y)``: mean -> X mean,
 V -> X V X^T + Y (Weedbrook et al., RMP 84, 621 (2012), sec. II.D). A
@@ -29,6 +25,7 @@ returns a new state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -56,23 +53,19 @@ def _is_symmetric(matrix: np.ndarray) -> bool:
         return bool((equal | (np.abs(matrix - t) <= SYMMETRY_TOL)).all())
 
 
-_OMEGAS: dict[int, np.ndarray] = {}  # read-only symplectic form per mode count
-_SHIFTS: dict[int, np.ndarray] = {}  # read-only (i/4) Omega per mode count
-
-
+@functools.cache
 def _omega(n_modes: int) -> np.ndarray:
-    if n_modes not in _OMEGAS:
-        _OMEGAS[n_modes] = np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        _OMEGAS[n_modes].flags.writeable = False
-    return _OMEGAS[n_modes]
+    omega = np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    omega.flags.writeable = False
+    return omega
 
 
+@functools.cache
 def _bona_fide_shift(n_modes: int) -> np.ndarray:
-    """(i/4) Omega: V + (i/4) Omega >= 0 is the bona fide condition."""
-    if n_modes not in _SHIFTS:
-        _SHIFTS[n_modes] = VACUUM_VARIANCE * 1j * _omega(n_modes)
-        _SHIFTS[n_modes].flags.writeable = False
-    return _SHIFTS[n_modes]
+    """(i/4) Omega, read-only: V + (i/4) Omega >= 0 is the bona fide condition."""
+    shift = VACUUM_VARIANCE * 1j * _omega(n_modes)
+    shift.flags.writeable = False
+    return shift
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -320,23 +313,24 @@ def assert_physical(state: GaussianState, context: str = "") -> None:
     """Raise PhysicalityError unless every variance is positive and the
     smallest eigenvalue of V + (i/4) Omega is at least
     -(PHYSICALITY_TOL + 8 n eps ||V||_inf), n the dimension of V and
-    ||V||_inf its largest absolute row sum.
-
-    ``eigvalsh`` is backward stable, so by Weyl's inequality each computed
-    eigenvalue of the Hermitian V + (i/4) Omega lies within about
-    8 n eps ||V||_inf of the exact one: the bound is the test's own
-    rounding, and it grows with the squeezing. A covariance with an
-    infinite or NaN entry raises LinAlgError.
+    ||V||_inf its largest absolute row sum: ``eigvalsh`` is backward
+    stable, so by Weyl's inequality the bound is the test's own rounding,
+    which grows with the squeezing. An inf or NaN entry raises LinAlgError.
     """
+    _assert_bona_fide(state.cov, state.cov, context)
+
+
+def _assert_bona_fide(cov: np.ndarray, source: np.ndarray, context: str = "") -> None:
+    """``assert_physical`` on a covariance array computed from ``source``, with
+    ||source||_inf for ||V||_inf: it carries the rounding of that subtraction."""
     where = f" in {context}" if context else ""
-    cov = state.cov
     v_min = cov.diagonal().min()
     if v_min <= 0.0:  # a NaN goes on to the LinAlgError below, a numeric error
         raise PhysicalityError(f"unphysical state{where}: variance {v_min:.12g} is not positive")
     if not np.isfinite(cov).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     dim = cov.shape[0]
-    bound = PHYSICALITY_TOL + 8 * dim * _EPS * np.abs(cov).sum(axis=1).max()
+    bound = PHYSICALITY_TOL + 8 * dim * _EPS * np.abs(source).sum(axis=1).max()
     lam_min = np.linalg.eigvalsh(cov + _bona_fide_shift(dim // 2))[0]
     if not lam_min >= -bound:  # a NaN fails too
         raise PhysicalityError(

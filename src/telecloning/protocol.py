@@ -29,15 +29,17 @@ The same physics is evaluated by three routes that must agree:
 ``run_monte_carlo``
     Samples the two measurement outcomes of every shot from the
     counter-based draws that shot owns under the seed, applies the same
-    displacements, and estimates moments. Shots are computed as numpy arrays in fixed-size
-    chunks, each output an elementwise expression of the shot's own
-    draws, so shot j is bit-identical however the shots are batched. The
-    clone variance combines the spread of the per-shot conditional means
-    with the constant conditional covariance (law of total variance);
-    ``sampled=True`` instead draws one quadrature value per clone per shot
-    and estimates everything from raw samples. Each chunk is reduced into
-    the moments as it is drawn and its per-shot records are handed to an
-    optional ``sink``, so a run holds the same memory at any shot count.
+    displacements, and estimates moments, in fixed-size chunks whose every
+    output is an elementwise expression of the shot's own draws. The clone
+    variance adds the spread of the conditional means to the constant
+    conditional covariance (law of total variance); ``sampled=True`` draws
+    one quadrature value per clone per shot instead. Each chunk is reduced
+    as it is drawn and handed to an optional ``sink``, so a run holds the
+    same memory at any shot count.
+
+Both circuit routes read ``ProtocolConfig.plan``, one plan per config,
+checked once as it is built: the resource, a finite plan and the
+conditioned receiver modes, so ``run`` and ``sample`` accept the same configs.
 
 Imperfections: per-mode resource transmissivities; homodyne efficiency
 as a loss channel on the measured ports, with the configured gains
@@ -61,8 +63,8 @@ import numpy as np
 
 from .gaussian import (
     GaussianState,
+    _assert_bona_fide,
     apply_channel,
-    assert_physical,
     beam_splitter_50_50,
     channel_moments,
     compose,
@@ -160,6 +162,11 @@ class ProtocolConfig:
         """The shared (A, B, C) resource with its losses, built on first use
         and kept; not a field, so ``==``, ``hash`` and ``replace`` ignore it."""
         return build_telecloning_resource(self.spec_i, self.spec_ii, self.eta_resource)
+
+    @functools.cached_property
+    def plan(self) -> _MeasurementPlan:
+        """The checked, read-only ``_measurement_plan``, kept like ``resource``."""
+        return _measurement_plan(self)
 
 
 @dataclass(frozen=True)
@@ -303,6 +310,8 @@ class _MeasurementPlan:
 
 
 def _measurement_plan(config: ProtocolConfig) -> _MeasurementPlan:
+    """``config.plan``, checked in turn: the resource, a finite plan, then the
+    conditioned receiver modes, bounded by the kept block they come from."""
     mean, cov = _circuit_moments(config)[2]
     keep, gain, cond_cov = conditional(cov, READOUT)
     q_idx = np.array([sel.index() for sel in READOUT])
@@ -315,9 +324,13 @@ def _measurement_plan(config: ProtocolConfig) -> _MeasurementPlan:
     total = gain + ffwd
     spread = total @ sigma_q @ total.T
     _require_finite("measurement plan", total, spread)
-    return _MeasurementPlan(
+    _assert_bona_fide(cond_cov, cov[keep[:, None], keep], "conditioned receiver modes")
+    plan = _MeasurementPlan(
         base_mean=base_mean, mu_q=mu_q, sigma_q=sigma_q, ffwd=ffwd, cond_cov=cond_cov,
         total=total, offset=base_mean - gain @ mu_q, spread=spread)
+    for array in vars(plan).values():
+        array.flags.writeable = False
+    return plan
 
 
 def _require_finite(what: str, *values) -> None:
@@ -328,19 +341,16 @@ def _require_finite(what: str, *values) -> None:
 
 
 def clone_output_state(config: ProtocolConfig) -> GaussianState:
-    """Two-mode Gaussian state of the clones after feedforward.
-
-    This is the ensemble state averaged over measurement outcomes; for a
-    fixed outcome only the mean differs.
-    """
-    plan = _measurement_plan(config)
+    """Two-mode Gaussian state of the clones after feedforward, averaged
+    over the measurement outcomes (for a fixed outcome only the mean
+    differs). Its V adds spread = total sigma_q total^T >= 0 to the checked
+    conditioned receiver modes, so by Weyl it is physical wherever they are."""
+    plan = config.plan
     out_mean = plan.base_mean + plan.ffwd @ plan.mu_q
     out_cov = plan.cond_cov + plan.spread
     out_cov = 0.5 * (out_cov + out_cov.T)
     _require_finite("clone output", out_mean, out_cov)
-    state = GaussianState(out_mean, out_cov)
-    assert_physical(state, context="clone output")
-    return state
+    return GaussianState(out_mean, out_cov)
 
 
 def run_circuit_analytic(config: ProtocolConfig) -> CloneMoments:
@@ -414,30 +424,26 @@ def run_monte_carlo(config: ProtocolConfig, sampled: bool = False,
     when a moment overflows or when the samples' float spacing is too
     coarse for the shot-to-shot spread they should show.
 
-    No array grows with the shot count: each chunk's per-shot records are
-    drawn into one reused (6, min(shots, _CHUNK_SHOTS)) float64 buffer,
-    whose rows are the Bell outcomes x_u and p_v and the clone means x1,
-    p1, x2 and p2. A ``sink`` gets them as ``sink(records, first)``, a
-    read-only view, ``first`` being the index of its first shot, before
-    the chunk is reduced; without one they are dropped. The sink is first
-    called once every check made before drawing has passed; the moments
-    are checked only after its last call, so a sink that writes the
-    records out must discard them when this raises.
+    No array grows with the shot count: each chunk's records, rows x_u,
+    p_v (the Bell outcomes) and the clone means x1, p1, x2, p2, are drawn
+    into one reused (6, min(shots, _CHUNK_SHOTS)) float64 buffer. A
+    ``sink`` gets each as ``sink(records, first)``, a read-only view,
+    ``first`` the index of its first shot, before the chunk is reduced. It
+    is first called once ``config.plan`` is checked; the moments are
+    checked only after its last call, so a sink that writes the records
+    out must discard them when this raises.
 
     Each chunk is reduced as it is drawn, in one chunk-sized buffer: a
     two-pass mean and sum of squared deviations (M2) per clone quadrature,
-    and the peak |sample|. A run of at most ``_CHUNK_SHOTS`` shots keeps
-    the first chunk's values as they are, with numpy's ``mean`` and
+    and the peak |sample|. A one-chunk run keeps numpy's ``mean`` and
     ``var`` bits. Longer runs reduce every later chunk as deviations from
     the first chunk's mean, so a large common mean leaves no rounding in
-    them, and merge each into the shots before it by the update of Chan,
-    Golub & LeVeque (1979): with delta the difference of the two means,
-    the mean moves by delta * m / n and M2 gains the chunk's M2 plus
-    delta**2 * (n - m) * m / n, for a chunk of m shots ending at shot n.
+    them, and merge each into the shots before it (Chan, Golub & LeVeque
+    1979): with delta the difference of the two means, the mean moves by
+    delta * m / n and M2 gains the chunk's M2 plus delta**2 * (n - m) * m / n,
+    for a chunk of m shots ending at shot n.
     """
-    plan = _measurement_plan(config)
-    assert_physical(GaussianState(plan.base_mean, plan.cond_cov),
-                    context="conditioned receiver modes")
+    plan = config.plan
     cond_sqrt = _psd_sqrt(plan.cond_cov) if sampled else None
 
     n = config.shots
@@ -520,4 +526,4 @@ def alice_trace_levels(config: ProtocolConfig) -> tuple[float, float]:
     is the mean-power loss of the measured state relative to the input
     imposed by the sender's balanced splitter: exactly 10 log10(2) dB.
     """
-    return float(_measurement_plan(config).sigma_q[1, 1]), 10.0 * math.log10(2.0)
+    return float(config.plan.sigma_q[1, 1]), 10.0 * math.log10(2.0)

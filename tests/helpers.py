@@ -36,7 +36,7 @@ from telecloning import (
     tensor,
     vacuum,
 )
-from telecloning.config import _SCHEMA, ConfigError
+from telecloning.config import _SCHEMA, ConfigError, parse_config
 from telecloning.homodyne import conditional
 from telecloning.opo import _spectra
 from telecloning.protocol import READOUT
@@ -135,6 +135,60 @@ def random_config(rng) -> ProtocolConfig:
         shots=100,
         seed=int(rng.integers(2**32)),
     )
+
+
+def wide_config(rng) -> ProtocolConfig:
+    """A config drawn as the benchmark's 12-100 dB circuit-audit ones: both
+    squeezers pure, or each 0-3 dB impure, with the documented gains,
+    transmissivities and amplitudes."""
+    pure = bool(rng.random() < 0.5)
+    specs = []
+    for _ in range(2):
+        level = float(rng.uniform(12.0, 100.0))
+        specs.append(SqueezerSpec(level, level if pure else level + float(rng.uniform(0.0, 3.0))))
+    gains, etas = rng.uniform(0.5, 1.5, size=4), rng.uniform(0.9, 1.0, size=5)
+    return ProtocolConfig(*specs, input_alpha=complex(*rng.uniform(-5.0, 5.0, size=2)),
+                          gains=tuple(gains), eta_homodyne=float(etas[0]),
+                          eta_resource=tuple(etas[1:4]), coupler_t=float(etas[4]),
+                          shots=16, seed=int(rng.integers(2**32)))
+
+
+def acceptance_pool() -> dict[str, ProtocolConfig]:
+    """Configs on which every command that builds the measurement plan must
+    decide alike: random ones, 12-100 dB ones, pure symmetric squeezers at
+    0-200 dB with alpha = 1 + 0.5i, and two whose conditioning subtracts
+    entries near 1e27-1e30 (300 dB of antisqueezing; 287 dB with a gain of
+    1e63 and a detection efficiency of 1e-9)."""
+    rng = np.random.default_rng(2525)
+    pool = {f"random {k}": random_config(rng) for k in range(20)}
+    pool.update({f"wide {k}": wide_config(rng) for k in range(60)})
+    for level in np.linspace(0.0, 200.0, 41):
+        spec = SqueezerSpec.pure(float(level))
+        pool[f"pure {level:g} dB"] = ProtocolConfig(spec, spec, input_alpha=1 + 0.5j)
+    pool["300 dB"] = ProtocolConfig(
+        SqueezerSpec.pure(0.0), SqueezerSpec(0.0, 300.0), input_alpha=40 + 80j,
+        gains=(1.0, 1.0, 300.0, 1.0), eta_resource=(0.999, 1e-9, 1.0))
+    pool["287 dB"] = ProtocolConfig(
+        SqueezerSpec.pure(117.77), SqueezerSpec.pure(287.28), gains=(1.0, 1.0, -1.1555e63, 1.0),
+        eta_homodyne=1e-9, eta_resource=(1e-9, 1.0, 0.769), coupler_t=0.557)
+    return pool
+
+
+def config_dict(config: ProtocolConfig) -> dict:
+    """The parsed config file of ``config``: ``protocol_config_from`` inverted."""
+    values = {"squeezer_i.squeezing_db": config.spec_i.squeezing_db,
+              "squeezer_i.antisqueezing_db": config.spec_i.antisqueezing_db,
+              "squeezer_ii.squeezing_db": config.spec_ii.squeezing_db,
+              "squeezer_ii.antisqueezing_db": config.spec_ii.antisqueezing_db,
+              "input.alpha_re": config.input_alpha.real,
+              "input.alpha_im": config.input_alpha.imag,
+              "loss.eta_homodyne": config.eta_homodyne, "loss.coupler_t": config.coupler_t}
+    values.update(zip(("gains.gx1", "gains.gp1", "gains.gx2", "gains.gp2"), config.gains))
+    values.update(zip(("loss.eta_resource_a", "loss.eta_resource_b", "loss.eta_resource_c"),
+                      config.eta_resource))
+    cfg = dict(parse_config(""), **{key: float(value) for key, value in values.items()})
+    cfg.update({"run.shots": int(config.shots), "run.seed": int(config.seed)})
+    return cfg
 
 
 # Per-point references: the pump model, the analytic clone moments and the

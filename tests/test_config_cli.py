@@ -18,8 +18,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    acceptance_pool,
     assert_passes_below_avx512,
     collect_records,
+    config_dict,
     random_config,
     reference_clones,
     reference_fidelity,
@@ -206,6 +208,27 @@ def test_physicality_checks_make_no_general_eigvals_call(capsys, monkeypatch, ar
     code, out, err = run_cli(capsys, argv[0], str(CONFIGS / "paper.cfg"), *argv[1:])
     assert code == 0, err
     assert json.loads(out)
+
+
+def test_run_and_sample_accept_the_same_configs(capsys, tmp_path):
+    # both commands read one checked measurement plan: run exits 0, or fails
+    # at the path gate only it has, exactly where both sample modes exit 0;
+    # otherwise all three print the same error line
+    path, decided = tmp_path / "pool.cfg", {}
+    for name, config in acceptance_pool().items():
+        path.write_text(serialize_config(config_dict(config)))
+        code, _, err = run_cli(capsys, "run", str(path))
+        sampled = [run_cli(capsys, "sample", str(path), "--shots", "16", *mode)
+                   for mode in ((), ("--sampled",))]
+        if code == 0 or err.startswith("error: analytic paths disagree by "):
+            assert [c for c, _, _ in sampled] == [0, 0], (name, err, sampled)
+        else:
+            assert [(c, e) for c, _, e in sampled] == [(code, err)] * 2, (name, err, sampled)
+        decided[name] = code == 0 or "paths disagree" in err, err
+    assert sum(ok for ok, _ in decided.values()) >= 100
+    assert decided["pure 180 dB"] == (False, "physicality error: unphysical state in "
+                                             "conditioned receiver modes: variance -8 is "
+                                             "not positive\n")
 
 
 def test_sample_writes_deterministic_csv(capsys, tmp_path):
@@ -595,9 +618,9 @@ def test_each_command_builds_one_resource(capsys, monkeypatch, command):
     assert len(built) == 1
 
 
-def test_run_builds_three_gaussian_states(capsys, monkeypatch):
-    # the resource, the detected state and the clone output: the pipeline
-    # between them runs on plain arrays
+def test_run_builds_two_gaussian_states(capsys, monkeypatch):
+    # the resource and the clone output: the pipeline between them, the
+    # measurement plan included, runs on plain arrays
     from telecloning.gaussian import GaussianState
 
     built = []
@@ -610,7 +633,7 @@ def test_run_builds_three_gaussian_states(capsys, monkeypatch):
     monkeypatch.setattr(GaussianState, "__post_init__", counting)
     code, _, _ = run_cli(capsys, "run", str(CONFIGS / "paper.cfg"))
     assert code == 0
-    assert len(built) <= 3
+    assert [state.n_modes for state in built] == [3, 2]
 
 
 # Documents of the result's shape: dicts of str keys, nested three deep,

@@ -26,15 +26,19 @@ from telecloning import (
     vacuum,
 )
 from telecloning.gaussian import (
+    PHYSICALITY_TOL,
     SYMMETRY_TOL,
+    _assert_bona_fide,
     _is_symmetric,
     apply_channel,
     compose,
     loss_map,
     symplectic_map,
 )
+from telecloning.homodyne import conditional
+from telecloning.protocol import READOUT, ProtocolConfig, circuit_states
 from telecloning.resource import SqueezerSpec, build_telecloning_resource
-from helpers import random_state, random_squeeze
+from helpers import random_state, random_squeeze, wide_config
 
 
 def test_vacuum_moments():
@@ -399,13 +403,13 @@ def test_non_finite_covariance_is_a_numeric_error(entry):
             check(_unchecked_state(cov))
 
 
-def _exact_smallest_eigenvalue(cov: np.ndarray):
-    """Smallest eigenvalue of cov + (i/4) Omega, for the float entries of
-    cov as they are, in 60-digit arithmetic."""
+def _exact_smallest_eigenvalue(cov):
+    """Smallest eigenvalue of cov + (i/4) Omega, for the entries of cov (float
+    or mpmath) as they are, in 60-digit arithmetic."""
     n = len(cov)
     shift = 0.25 * symplectic_form(n // 2)
     with mpmath.workdps(60):
-        h = mpmath.matrix([[mpmath.mpc(float(cov[i, j]), float(shift[i, j])) for j in range(n)]
+        h = mpmath.matrix([[mpmath.mpc(cov[i, j], float(shift[i, j])) for j in range(n)]
                            for i in range(n)])
         return min(mpmath.eighe(h, eigvals_only=True))
 
@@ -434,3 +438,38 @@ def test_physicality_check_agrees_with_a_60_digit_oracle(monkeypatch, impurity_d
     assert _exact_smallest_eigenvalue(thermal.cov) < -1.9e-9
     with pytest.raises(PhysicalityError, match=r"^unphysical state: smallest eigenvalue "):
         assert_physical(thermal)
+
+
+KEPT = [4, 5, 6, 7]  # (xB, pB, xC, pC) of the detected state on (in, A, B, C)
+
+
+def test_conditioned_modes_check_agrees_with_a_60_digit_oracle():
+    # the conditioned receiver covariance is C_KK - C_KQ C_QQ^-1 C_QK: its
+    # rounding is that of the kept block C_KK, whose entries grow as
+    # 10**(level/10) while the result stays near the vacuum
+    configs = [ProtocolConfig(spec, spec) for spec in
+               (SqueezerSpec(level, level + impurity)
+                for level in np.linspace(0.0, 150.0, 11) for impurity in (0.0, 3.0))]
+    rng = np.random.default_rng(77)
+    configs += [wide_config(rng) for _ in range(40)]
+    q = [sel.index() for sel in READOUT]
+    for config in configs:
+        plan = config.plan  # the check passes
+        detected = circuit_states(config)["detected"].cov
+        kk, kq, qq = (detected[np.ix_(rows, cols)] for rows, cols in
+                      ((KEPT, KEPT), (KEPT, q), (q, q)))
+        with mpmath.workdps(60):
+            kq_exact = mpmath.matrix(kq.tolist())
+            exact = _exact_smallest_eigenvalue(
+                mpmath.matrix(kk.tolist())
+                - kq_exact * mpmath.inverse(mpmath.matrix(qq.tolist())) * kq_exact.T)
+        bound = PHYSICALITY_TOL + 8 * 4 * np.finfo(float).eps * np.abs(kk).sum(axis=1).max()
+        computed = np.linalg.eigvalsh(plan.cond_cov + 0.25j * symplectic_form(2))[0]
+        assert abs(computed - exact) <= bound, (config.spec_i, computed, exact, bound)
+    # a conditioned thermal mode 2e-9 below the vacuum fails
+    detected = np.diag([1.0] * 4 + [0.25 - 2e-9] * 4)
+    keep, _, cond = conditional(detected, READOUT)
+    assert _exact_smallest_eigenvalue(cond) < -1.9e-9
+    with pytest.raises(PhysicalityError, match=r"^unphysical state in conditioned receiver "
+                                               r"modes: smallest eigenvalue "):
+        _assert_bona_fide(cond, detected[np.ix_(keep, keep)], "conditioned receiver modes")

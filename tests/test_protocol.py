@@ -8,6 +8,7 @@ import pytest
 
 from telecloning import (
     GaussianState,
+    PhysicalityError,
     ProtocolConfig,
     QuadratureSelector,
     SqueezerSpec,
@@ -33,6 +34,7 @@ from telecloning.protocol import (
 )
 from telecloning.config import ConfigError, load_config, parse_config, protocol_config_from
 from helpers import (
+    acceptance_pool,
     collect_records,
     random_config,
     reference_circuit_states,
@@ -540,6 +542,47 @@ def test_config_keeps_one_read_only_resource():
     assert np.array_equal(copy.resource.cov, config.resource.cov)
     lossy = dataclasses.replace(config, eta_resource=(0.9, 0.9, 0.9))
     assert not np.array_equal(lossy.resource.cov, config.resource.cov)
+
+
+def test_config_keeps_one_plan(monkeypatch):
+    import telecloning.protocol
+
+    conditioned = []
+    real = telecloning.protocol.conditional
+
+    def counting(cov, sels):
+        conditioned.append(cov)
+        return real(cov, sels)
+
+    monkeypatch.setattr(telecloning.protocol, "conditional", counting)
+    config = optimal_config(shots=20)
+    run_circuit_analytic(config)
+    run_monte_carlo(config)
+    run_monte_carlo(config, sampled=True)
+    alice_trace_levels(config)
+    assert len(conditioned) == 1
+    assert all(not array.flags.writeable for array in vars(config.plan).values())
+    with pytest.raises(ValueError, match="read-only"):
+        config.plan.cond_cov[0, 0] = 1.0
+    # not a field: replace builds a config with a plan of its own
+    copy = dataclasses.replace(config)
+    assert copy.plan is not config.plan and len(conditioned) == 2
+    assert np.array_equal(copy.plan.cond_cov, config.plan.cond_cov)
+
+
+def test_clone_output_is_physical_wherever_the_plan_builds():
+    # the clone output adds spread = total sigma_q total^T >= 0 to the
+    # checked conditioned receiver modes, so by Weyl's inequality it passes
+    # wherever they do, and no command checks it again
+    built = 0
+    for name, config in acceptance_pool().items():
+        try:
+            config.plan
+        except PhysicalityError:  # a conditioned variance rounds to 0 or below
+            continue
+        assert is_physical(clone_output_state(config)), name
+        built += 1
+    assert built >= 100
 
 
 def test_pipeline_keeps_the_transmissivity_check():
