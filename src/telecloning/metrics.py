@@ -66,17 +66,46 @@ def fidelity_unit_gain(var_x, var_p):
     return 2.0 / np.sqrt((1.0 + 4.0 * var_x) * (1.0 + 4.0 * var_p))
 
 
+def _fidelity(var_x, cov_xp, var_p, dx, dp):
+    """``fidelity_general``'s check and closed form, elementwise over
+    scalars or arrays: covariance [[var_x, cov_xp], [cov_xp, var_p]], mean
+    (dx, dp) away from the coherent amplitude.
+
+    The test reads the LDL^T pivots, never var_x var_p - cov_xp^2, which
+    underflows to 0 for a tiny diagonal state; the quadratic form divides
+    before it multiplies, so an inf variance gives dx (dx / inf) = 0, not
+    inf / inf.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a zero, tiny or NaN var_x
+        pivot = var_p - cov_xp * (cov_xp / var_x)
+    if not np.all((var_x > 0.0) & (pivot > 0.0)):  # NaN fails too
+        raise ValueError("clone covariance is not positive definite")
+    s_x = var_x + VACUUM_VARIANCE
+    ratio = cov_xp / s_x
+    s_p = (var_p + VACUUM_VARIANCE) - cov_xp * ratio
+    residual = dp - ratio * dx
+    quad = dx * (dx / s_x) + residual * (residual / s_p)
+    return np.exp(-0.5 * quad) / (2.0 * np.sqrt(s_x * s_p))
+
+
 def fidelity_general(mean, cov, alpha: complex):
     """Overlap of a single-mode Gaussian state with the coherent state alpha.
 
-    F = exp(-(1/2) d^T (V + I/4)^{-1} d) / (2 sqrt(det(V + I/4))) with
+    F = exp(-(1/2) d^T S^{-1} d) / (2 sqrt(det S)) with S = V + I/4 and
     d = mean - (Re alpha, Im alpha). Reduces to the unit-gain formula at
     d = 0 and to exp(-|alpha - beta|^2) for a displaced vacuum.
 
+    The 2x2 algebra is the closed form of S = L D L^T: with a, b, d the
+    entries V_00, V_01, V_11, s_a = a + 1/4, r = b / s_a and
+    s_d = (d + 1/4) - b r, d^T S^{-1} d = dx^2 / s_a + (dp - r dx)^2 / s_d
+    and det S = s_a s_d. V is positive definite when the pivots of its own
+    LDL^T are, a > 0 and d - b (b / a) > 0.
+
     A ``cov`` of shape (..., 2, 2) with ``mean`` of shape (..., 2) is a
     batch of states, checked and evaluated in one call; the result is then
-    an array of the batch shape, each entry the same bits as a call on
-    that state alone. Otherwise the result is a float.
+    an array of the batch shape. Each entry is an elementwise function of
+    its own state, so it has the bits of a lone call on that state.
+    Otherwise the result is a float.
     """
     cov = np.asarray(cov, dtype=float)
     batch = cov.shape[:-2]
@@ -84,24 +113,20 @@ def fidelity_general(mean, cov, alpha: complex):
     mean = np.asarray(mean, dtype=float).reshape(batch + (2,))
     if not _is_symmetric(cov):
         raise ValueError("clone covariance is not symmetric")
-    if np.linalg.eigvalsh(cov).min(initial=np.inf) <= 0.0:  # an empty batch passes
-        raise ValueError("clone covariance is not positive definite")
-    sigma = cov + VACUUM_VARIANCE * np.eye(2)
-    delta = mean - np.array([alpha.real, alpha.imag])
-    # (1, 2) @ (2, 1) per state: the product a lone d @ solve(sigma, d) makes
-    quad = (delta[..., None, :] @ np.linalg.solve(sigma, delta[..., None]))[..., 0, 0]
-    fidelity = np.exp(-0.5 * quad) / (2.0 * np.sqrt(np.linalg.det(sigma)))
+    fidelity = _fidelity(cov[..., 0, 0], cov[..., 0, 1], cov[..., 1, 1],
+                         mean[..., 0] - alpha.real, mean[..., 1] - alpha.imag)
     return fidelity if batch else float(fidelity)
 
 
 def fidelity_report(moments: "CloneMoments", alpha: complex) -> FidelityReport:
-    """Per-clone fidelity of a protocol run against its coherent input, from
-    one batched ``fidelity_general`` call (each entry the bits of a lone call)."""
+    """Per-clone fidelity of a protocol run against its coherent input,
+    both clones in one elementwise evaluation (each the bits of a lone
+    ``fidelity_general`` call on its diagonal covariance)."""
     clones = (moments.clone1, moments.clone2)
-    cov = np.zeros((2, 2, 2))
-    cov[:, 0, 0] = [c.var_x for c in clones]
-    cov[:, 1, 1] = [c.var_p for c in clones]
-    f = fidelity_general([(c.mean_x, c.mean_p) for c in clones], cov, alpha).tolist()
+    f = _fidelity(np.array([c.var_x for c in clones]), 0.0,
+                  np.array([c.var_p for c in clones]),
+                  np.array([c.mean_x for c in clones]) - alpha.real,
+                  np.array([c.mean_p for c in clones]) - alpha.imag).tolist()
     return FidelityReport(f[0], f[1])
 
 

@@ -80,7 +80,7 @@ from .homodyne import (
     shot_normals,
     shot_stream,  # re-exported: the benchmark's tracer and tests bind protocol.shot_stream
 )
-from .metrics import fidelity_general
+from .metrics import _fidelity
 from .resource import SqueezerSpec, build_telecloning_resource, squeezer_variances
 
 # mode layout of the joint state before the sender's beam splitter
@@ -240,11 +240,13 @@ def clone_curve(config: ProtocolConfig, squeezing_db, antisqueezing_db):
     v_sq, v_anti = squeezer_variances(squeezing_db, antisqueezing_db)
     var_x, var_p, _, _ = clone_variances(config, v_anti, v_sq, v_sq, v_anti)
     alpha = config.input_alpha
-    mean = np.broadcast_to((config.gains[0] * alpha.real,
-                            config.gains[1] * alpha.imag), np.shape(var_x) + (2,))
-    cov = np.zeros(np.shape(var_x) + (2, 2))
-    cov[..., 0, 0], cov[..., 1, 1] = var_x, var_p
-    return var_x, var_p, fidelity_general(mean, cov, alpha)
+    g_x, g_p = config.gains[:2]
+    dx, dp = g_x * alpha.real - alpha.real, g_p * alpha.imag - alpha.imag
+    fidelity = _fidelity(var_x, 0.0, var_p, dx, dp)
+    # Python floats overflow silently; checked after the covariance, which
+    # reports a NaN variance first
+    _require_finite("clone mean", [dx, dp])
+    return var_x, var_p, fidelity
 
 
 def run_analytic(config: ProtocolConfig) -> CloneMoments:

@@ -936,6 +936,9 @@ def test_analytic_inf_is_a_numeric_error_not_a_path_disagreement(capsys, tmp_pat
     # spread reads 0 where the shots vary
     (("sample", "--shots", "16"), "[input]\nalpha_re = 1e17\nalpha_im = 3\n"),
     (("sample", "--shots", "16", "--sampled"), "[input]\nalpha_re = 1e17\nalpha_im = 3\n"),
+    # the clone mean is finite, but its squared distance from the input overflows
+    (("sweep", "--param", "squeezing_db", "--from", "0", "--to", "10", "--steps", "3"),
+     "[gains]\ngx1 = 2\n[input]\nalpha_re = 1e160\n"),
 ))
 def test_numeric_error_is_the_only_line_on_stderr(capsys, tmp_path, command, text):
     path = tmp_path / "numeric.cfg"

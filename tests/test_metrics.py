@@ -1,6 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
 
+from helpers import random_config
 from telecloning import (
     ProtocolConfig,
     SqueezerSpec,
@@ -15,6 +17,7 @@ from telecloning import (
     run_monte_carlo,
     variance_to_db,
 )
+from telecloning.protocol import clone_curve
 
 
 def wigner_overlap_quadrature(mean, cov, alpha, half_width=10.0, points=1201):
@@ -216,12 +219,70 @@ def test_fidelity_general_batch_matches_single_calls_bit_for_bit():
     (np.array([[0.5, 0.1], [0.0, 0.5]]), "not symmetric"),
     (np.array([[0.5, 0.0], [0.0, -0.1]]), "not positive definite"),
     (np.array([[np.nan, 0.0], [0.0, 0.5]]), "not symmetric"),
+    # a zero, negative or NaN pivot of V = L D L^T
+    (np.array([[0.0, 0.0], [0.0, 0.5]]), "not positive definite"),
+    (np.array([[1.0, 1.0], [1.0, 1.0]]), "not positive definite"),
+    (np.array([[0.5, 1.0], [1.0, 0.5]]), "not positive definite"),
+    (np.array([[1e-300, 1e10], [1e10, 1.0]]), "not positive definite"),  # b / a overflows
+    (np.array([[np.inf, np.inf], [np.inf, 1.0]]), "not positive definite"),  # inf / inf
 ))
 def test_fidelity_general_checks_every_batch_entry(entry, message):
     cov = np.tile(np.diag([0.5, 0.5]), (4, 1, 1))
     cov[2] = entry
     with pytest.raises(ValueError, match=message):
         fidelity_general(np.zeros((4, 2)), cov, 0j)
+
+
+def test_fidelity_general_accepts_a_tiny_diagonal_state():
+    # a d = 1e-400 underflows to 0, so a test of a d - b^2 > 0 would reject
+    # a state whose pivots are positive
+    assert fidelity_general([0, 0], np.diag([1e-200, 1e-200]), 0j) == 2.0
+
+
+def _exact_fidelity(mean, cov, alpha: complex):
+    """F and d^T (V + I/4)^{-1} d of one state in 50-digit arithmetic, from
+    the float inputs taken exactly."""
+    with mpmath.workdps(50):
+        s_x, s_p = mpmath.mpf(cov[0, 0]) + 0.25, mpmath.mpf(cov[1, 1]) + 0.25
+        b = mpmath.mpf(cov[0, 1])
+        dx = mpmath.mpf(mean[0]) - mpmath.mpf(alpha.real)
+        dp = mpmath.mpf(mean[1]) - mpmath.mpf(alpha.imag)
+        det = s_x * s_p - b * b
+        quad = (s_p * dx * dx - 2 * b * dx * dp + s_x * dp * dp) / det
+        return mpmath.exp(-quad / 2) / (2 * mpmath.sqrt(det)), quad
+
+
+def test_fidelity_general_against_50_digit_oracle():
+    # variances over 1e-3-1e3, half of the states diagonal, the others with
+    # correlations up to 0.99 sqrt(a d); displacements of about 2
+    rng = np.random.default_rng(2626)
+    n = 500
+    a, d = 10.0 ** rng.uniform(-3.0, 3.0, size=(2, n))
+    b = rng.uniform(-0.99, 0.99, size=n) * np.sqrt(a * d)
+    b[: n // 2] = 0.0
+    cov = np.stack([np.stack([a, b], -1), np.stack([b, d], -1)], -2)
+    alpha = complex(*rng.uniform(-3.0, 3.0, size=2))
+    mean = np.array([alpha.real, alpha.imag]) + rng.normal(0.0, 2.0, size=(n, 2))
+    got = fidelity_general(mean, cov, alpha)
+    eps = np.finfo(float).eps
+    for k in range(n):
+        exact, quad = _exact_fidelity(mean[k], cov[k], alpha)
+        error = abs((mpmath.mpf(got[k]) - exact) / exact)
+        assert error <= 8 * eps * (1 + quad), (k, float(error), float(quad))
+
+
+def test_clone_curve_fidelity_is_fidelity_general_bit_for_bit():
+    rng = np.random.default_rng(2627)
+    levels = np.linspace(0.0, 15.0, 61)
+    for _ in range(5):
+        config = random_config(rng)
+        var_x, var_p, fidelity = clone_curve(config, levels, levels + 1.0)
+        alpha = config.input_alpha
+        mean = np.broadcast_to((config.gains[0] * alpha.real, config.gains[1] * alpha.imag),
+                               levels.shape + (2,))
+        cov = np.zeros(levels.shape + (2, 2))
+        cov[:, 0, 0], cov[:, 1, 1] = var_x, var_p
+        assert fidelity.tobytes() == fidelity_general(mean, cov, alpha).tobytes()
 
 
 def test_fidelity_unit_gain_elementwise():
