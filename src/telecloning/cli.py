@@ -120,8 +120,9 @@ def _summary(lines: list[str]) -> None:
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     config = protocol_config_from(cfg)
-    direct = run_analytic(config)
+    # the checked plan first, so a config fails at the stage `sample` names
     circuit = run_circuit_analytic(config)
+    direct = run_analytic(config)
     worst = max(
         abs(getattr(getattr(direct, c), f) - getattr(getattr(circuit, c), f))
         for c in ("clone1", "clone2")

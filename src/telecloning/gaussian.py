@@ -14,7 +14,8 @@ Conventions used throughout the package:
 Every linear-optics element is a Gaussian channel ``(X, Y)``: mean -> X mean,
 V -> X V X^T + Y (Weedbrook et al., RMP 84, 621 (2012), sec. II.D). A
 symplectic S is (S, 0); a loss of transmissivity eta on one mode is
-sqrt(eta) on that mode in X and (1 - eta)/4 on that mode in Y. ``compose``
+sqrt(eta) on that mode in X and (1 - eta)/4 on that mode in Y, the pair
+``loss_diagonals`` returns, so a fixed network scales its X by it. ``compose``
 chains channels into one, so a whole network is applied to a state in one
 step, and ``apply_channel`` (``channel_moments`` on plain arrays) returns
 an exactly symmetric covariance.
@@ -214,17 +215,28 @@ def symplectic_map(n_modes: int, sym: SymplecticMatrix, modes: Sequence[int]) ->
     return x, np.zeros_like(x)
 
 
-def loss_map(n_modes: int, etas: dict[int, float]) -> Channel:
-    """Channel of each listed mode mixing with vacuum at transmissivity
-    ``etas[mode]``: sqrt(eta) in X and (1 - eta)/4 in Y on that mode."""
-    _quadrature_indices(n_modes, etas)
-    x = np.eye(2 * n_modes)
-    y = np.zeros_like(x)
-    for mode, eta in etas.items():
+def loss_diagonals(etas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The loss of mode k to vacuum at transmissivity ``etas[k]`` as the
+    diagonals of its X and Y, two entries per mode (x, then p): sqrt(eta)
+    and (1 - eta)/4. Scaling rows or columns by them has the bits of a
+    product with the diagonal matrix, whose other terms are exact zeros."""
+    scale, added = [], []
+    for eta in etas:
         if not 0.0 <= eta <= 1.0:
             raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
-        for i in (2 * mode, 2 * mode + 1):
-            x[i, i], y[i, i] = math.sqrt(eta), (1.0 - eta) * VACUUM_VARIANCE
+        s, a = math.sqrt(eta), (1.0 - eta) * VACUUM_VARIANCE
+        scale += (s, s)
+        added += (a, a)
+    return np.array(scale), np.array(added)
+
+
+def loss_map(n_modes: int, etas: dict[int, float]) -> Channel:
+    """Channel of each listed mode mixing with vacuum at transmissivity
+    ``etas[mode]``: ``loss_diagonals`` on those modes, identity elsewhere."""
+    idx = _quadrature_indices(n_modes, etas)
+    x = np.eye(2 * n_modes)
+    y = np.zeros_like(x)
+    x[idx, idx], y[idx, idx] = loss_diagonals(list(etas.values()))
     return x, y
 
 
@@ -301,7 +313,7 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
 
 
 def is_physical(state: GaussianState) -> bool:
-    """Whether ``assert_physical`` passes."""
+    """Whether ``assert_physical`` passes; its numeric errors propagate."""
     try:
         assert_physical(state)
     except PhysicalityError:
@@ -315,7 +327,9 @@ def assert_physical(state: GaussianState, context: str = "") -> None:
     -(PHYSICALITY_TOL + 8 n eps ||V||_inf), n the dimension of V and
     ||V||_inf its largest absolute row sum: ``eigvalsh`` is backward
     stable, so by Weyl's inequality the bound is the test's own rounding,
-    which grows with the squeezing. An inf or NaN entry raises LinAlgError.
+    which grows with the squeezing. A variance at or below 0 by no more than
+    the bound is lost precision and raises FloatingPointError; an inf or NaN
+    entry raises LinAlgError.
     """
     _assert_bona_fide(state.cov, state.cov, context)
 
@@ -324,13 +338,17 @@ def _assert_bona_fide(cov: np.ndarray, source: np.ndarray, context: str = "") ->
     """``assert_physical`` on a covariance array computed from ``source``, with
     ||source||_inf for ||V||_inf: it carries the rounding of that subtraction."""
     where = f" in {context}" if context else ""
+    dim = cov.shape[0]
+    bound = PHYSICALITY_TOL + 8 * dim * _EPS * np.abs(source).sum(axis=1).max()
     v_min = cov.diagonal().min()
     if v_min <= 0.0:  # a NaN goes on to the LinAlgError below, a numeric error
+        if v_min >= -bound:
+            raise FloatingPointError(
+                f"{context or 'covariance'} lost precision: variance {v_min:.12g} "
+                f"is within the rounding bound {bound:.12g} of 0")
         raise PhysicalityError(f"unphysical state{where}: variance {v_min:.12g} is not positive")
     if not np.isfinite(cov).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    dim = cov.shape[0]
-    bound = PHYSICALITY_TOL + 8 * dim * _EPS * np.abs(source).sum(axis=1).max()
     lam_min = np.linalg.eigvalsh(cov + _bona_fide_shift(dim // 2))[0]
     if not lam_min >= -bound:  # a NaN fails too
         raise PhysicalityError(

@@ -32,6 +32,7 @@ for the benchmark's tracer. A shot has 8 draws, so shot j depends only on
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -77,18 +78,28 @@ def marginal(state: GaussianState, sel: QuadratureSelector) -> tuple[float, floa
     return float(state.mean[i]), float(state.cov[i, i])
 
 
+@functools.lru_cache(maxsize=256)
+def _readout_split(dim: int, sels: tuple[QuadratureSelector, ...]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """``(keep, q)``, read-only: the quadrature indices of the unmeasured
+    modes and of the readout ``sels`` in a ``dim``-dimensional covariance."""
+    measured = [sel.mode for sel in sels]
+    _quadrature_indices(dim // 2, measured)  # range and duplicate check
+    keep = np.array([j for j in range(dim) if j // 2 not in measured])
+    if not keep.size:
+        raise ValueError("conditioning drops the measured modes; need at least one more")
+    q = np.array([sel.index() for sel in sels])
+    keep.flags.writeable = q.flags.writeable = False
+    return keep, q
+
+
 def conditional(cov: np.ndarray, sels: Sequence[QuadratureSelector]
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Conditional rule for a joint readout of quadratures of distinct modes
     of a state with covariance ``cov``: ``(keep, gain, cond)``, the quadrature
-    indices of the unmeasured modes, the gain C_KQ C_QQ^-1 and their
-    outcome-independent covariance."""
-    measured = [sel.mode for sel in sels]
-    _quadrature_indices(len(cov) // 2, measured)  # range and duplicate check
-    keep = np.array([j for j in range(len(cov)) if j // 2 not in measured])
-    if not keep.size:
-        raise ValueError("conditioning drops the measured modes; need at least one more")
-    q = np.array([sel.index() for sel in sels])
+    indices of the unmeasured modes (read-only, kept per dimension and
+    readout), the gain C_KQ C_QQ^-1 and their outcome-independent covariance."""
+    keep, q = _readout_split(len(cov), tuple(sels))
     sigma = cov[q[:, None], q]
     v_min = sigma.diagonal().min()
     if v_min < DEGENERATE_VARIANCE_TOL:

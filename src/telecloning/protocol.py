@@ -17,14 +17,16 @@ The same physics is evaluated by three routes that must agree:
 
 ``run_circuit_analytic``
     Compiles the network into Gaussian channels (X, Y) from the generic
-    splitter and loss operators of ``gaussian`` (never from
-    ``clone_variances``), applied to plain (mean, cov) arrays: the resource
-    circuit with its losses once to the squeezer inputs, and the couplers,
-    the sender's splitter and her detection loss once to the input and the
-    resource. One step of ``homodyne.conditional`` conditions the detected
-    covariance on ``READOUT``; only the resource and the clone output are
-    ``GaussianState`` objects. The feedforward folds in exactly: an
-    outcome-independent covariance and the outcome average as mean.
+    splitter operators of ``gaussian``, built once at import, and the
+    ``gaussian.loss_diagonals`` of the config's losses, which scale their
+    rows and columns (never from ``clone_variances``); the channels act on
+    plain (mean, cov) arrays: the resource circuit with its losses once to
+    the squeezer inputs, and the couplers, the sender's splitter and her
+    detection loss once to the input and the resource. One step of
+    ``homodyne.conditional`` conditions the detected covariance on
+    ``READOUT``; only the resource is a ``GaussianState``. The feedforward
+    folds in exactly: an outcome-independent covariance and the outcome
+    average as mean.
 
 ``run_monte_carlo``
     Samples the two measurement outcomes of every shot from the
@@ -62,13 +64,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import (
+    Channel,
     GaussianState,
     _assert_bona_fide,
     apply_channel,
     beam_splitter_50_50,
     channel_moments,
-    compose,
-    loss_map,
+    loss_diagonals,
     symplectic_map,
     VACUUM_VARIANCE,
 )
@@ -88,9 +90,13 @@ MODE_IN, MODE_A, MODE_B, MODE_C = 0, 1, 2, 3
 
 # the sender's readout of x on u and p on v; her splitter outputs are (v, u)
 READOUT = (QuadratureSelector(1, "x"), QuadratureSelector(0, "p"))
+# their quadrature indices in the detected (in, A, B, C) moments
+_READOUT_INDEX = np.array([sel.index() for sel in READOUT])
+_READOUT_INDEX.flags.writeable = False
 
-# the sender's balanced splitter as a channel on (in, A, B, C)
-_SENDER_SPLITTER = symplectic_map(4, beam_splitter_50_50(), [MODE_IN, MODE_A])
+# the X of the sender's balanced splitter on (in, A, B, C), read-only
+_SENDER_SPLITTER = symplectic_map(4, beam_splitter_50_50(), [MODE_IN, MODE_A])[0]
+_SENDER_SPLITTER.flags.writeable = False
 
 # shots per Monte Carlo chunk: bounds the temporaries at any shot count;
 # 1e5-shot runs on a 2-core x86 host timed flat from 2**12 to 2**14 shots
@@ -242,9 +248,14 @@ def clone_curve(config: ProtocolConfig, squeezing_db, antisqueezing_db):
     alpha = config.input_alpha
     g_x, g_p = config.gains[:2]
     dx, dp = g_x * alpha.real - alpha.real, g_p * alpha.imag - alpha.imag
-    fidelity = _fidelity(var_x, 0.0, var_p, dx, dp)
-    # Python floats overflow silently; checked after the covariance, which
-    # reports a NaN variance first
+    try:
+        fidelity = _fidelity(var_x, 0.0, var_p, dx, dp)
+    except ValueError:
+        # a gain squared overflows the Python-float terms to inf silently,
+        # and inf * 0 is NaN: a numeric error, not a covariance out of range
+        _require_finite("analytic clone variances", var_x, var_p)
+        raise
+    # checked after the covariance, which reports a NaN variance first
     _require_finite("clone mean", [dx, dp])
     return var_x, var_p, fidelity
 
@@ -265,20 +276,30 @@ def run_analytic(config: ProtocolConfig) -> CloneMoments:
     )
 
 
+def _sender_channels(coupler_t: float, eta_homodyne: float) -> tuple[Channel, Channel]:
+    """``(split, detect)`` on (in, A, B, C). The couplers act on B and C
+    only, so they commute with all the sender does and come first:
+    ``split`` is the sender's splitter with its B and C columns scaled by
+    the couplers' sqrt(t), and ``detect`` that with its in and A rows
+    scaled by sqrt(eta_homodyne), her detection loss; the bits of composing
+    the generic ``loss_map`` channels with the splitter."""
+    coupler, coupler_noise = loss_diagonals((1.0, 1.0, coupler_t, coupler_t))
+    detection, detection_noise = loss_diagonals((eta_homodyne, eta_homodyne, 1.0, 1.0))
+    split = (_SENDER_SPLITTER * coupler, np.diag(coupler_noise))
+    # each added noise is 0 where the other is not, so the sum is exact
+    detect = (detection[:, None] * split[0], np.diag(coupler_noise + detection_noise))
+    return split, detect
+
+
 def _circuit_moments(config: ProtocolConfig) -> tuple:
     """``(joint, split, detected)`` on (in, A, B, C), the states as (mean,
-    cov) arrays: the only route to the detected state. The couplers act on
-    B and C only, so they commute with all the sender does and come first;
-    couplers then splitter (``split``), and that followed by her detection
-    loss, are each one composed channel."""
+    cov) arrays: the only route to the detected state."""
     resource, alpha = config.resource, config.input_alpha
     mean = np.concatenate(((alpha.real, alpha.imag), resource.mean))
     cov = np.zeros((8, 8))
     cov[0, 0] = cov[1, 1] = VACUUM_VARIANCE
     cov[2:, 2:] = resource.cov
-    t, eta = config.coupler_t, config.eta_homodyne
-    split = compose(loss_map(4, {MODE_B: t, MODE_C: t}), _SENDER_SPLITTER)
-    detect = compose(split, loss_map(4, {MODE_IN: eta, MODE_A: eta}))
+    split, detect = _sender_channels(config.coupler_t, config.eta_homodyne)
     return (mean, cov), split, channel_moments(detect, mean, cov)
 
 
@@ -316,7 +337,7 @@ def _measurement_plan(config: ProtocolConfig) -> _MeasurementPlan:
     conditioned receiver modes, bounded by the kept block they come from."""
     mean, cov = _circuit_moments(config)[2]
     keep, gain, cond_cov = conditional(cov, READOUT)
-    q_idx = np.array([sel.index() for sel in READOUT])
+    q_idx = _READOUT_INDEX
 
     g_x1, g_p1, g_x2, g_p2 = config.gains
     ffwd = math.sqrt(2.0) / math.sqrt(config.eta_homodyne) * np.array(
@@ -342,27 +363,31 @@ def _require_finite(what: str, *values) -> None:
         raise FloatingPointError(f"{what} overflows: a value is not finite")
 
 
+def _clone_output(plan: _MeasurementPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of ``clone_output_state``, as plain arrays."""
+    out_mean = plan.base_mean + plan.ffwd @ plan.mu_q
+    out_cov = plan.cond_cov + plan.spread
+    out_cov = 0.5 * (out_cov + out_cov.T)
+    _require_finite("clone output", out_mean, out_cov)
+    return out_mean, out_cov
+
+
 def clone_output_state(config: ProtocolConfig) -> GaussianState:
     """Two-mode Gaussian state of the clones after feedforward, averaged
     over the measurement outcomes (for a fixed outcome only the mean
     differs). Its V adds spread = total sigma_q total^T >= 0 to the checked
     conditioned receiver modes, so by Weyl it is physical wherever they are."""
-    plan = config.plan
-    out_mean = plan.base_mean + plan.ffwd @ plan.mu_q
-    out_cov = plan.cond_cov + plan.spread
-    out_cov = 0.5 * (out_cov + out_cov.T)
-    _require_finite("clone output", out_mean, out_cov)
-    return GaussianState(out_mean, out_cov)
+    return GaussianState(*_clone_output(config.plan))
 
 
 def run_circuit_analytic(config: ProtocolConfig) -> CloneMoments:
-    """Clone moments from the covariance-matrix pipeline."""
-    out = clone_output_state(config)
-    m, c = out.mean, out.cov
-    return CloneMoments(
-        QuadratureMoments(float(m[0]), float(m[1]), float(c[0, 0]), float(c[1, 1])),
-        QuadratureMoments(float(m[2]), float(m[3]), float(c[2, 2]), float(c[3, 3])),
-    )
+    """Clone moments from the covariance-matrix pipeline: the means and
+    variances of ``clone_output_state``, read from ``config.plan``."""
+    mean, cov = _clone_output(config.plan)
+    x1, p1, x2, p2 = mean.tolist()
+    v_x1, v_p1, v_x2, v_p2 = cov.diagonal().tolist()
+    return CloneMoments(QuadratureMoments(x1, p1, v_x1, v_p1),
+                        QuadratureMoments(x2, p2, v_x2, v_p2))
 
 
 def _simulate_shots(plan: _MeasurementPlan, seed: int, first_shot: int,

@@ -24,6 +24,7 @@ import numpy as np
 from .gaussian import (
     MIN_VARIANCE_PRODUCT,
     VACUUM_VARIANCE,
+    Channel,
     GaussianState,
     PhysicalityError,
     assert_physical,
@@ -31,7 +32,7 @@ from .gaussian import (
     channel_moments,
     check_variance_pair,
     compose,
-    loss_map,
+    loss_diagonals,
     symplectic_map,
 )
 from .metrics import db_to_variance
@@ -111,6 +112,14 @@ def resource_circuit_matrix() -> np.ndarray:
     return x
 
 
+def _resource_channel(eta: tuple[float, float, float]) -> Channel:
+    """The resource circuit followed by the losses ``eta`` of (A, B, C): the
+    cached circuit matrix with its rows scaled by sqrt(eta), the bits of
+    composing it with the generic ``loss_map``."""
+    scale, added = loss_diagonals(eta)
+    return resource_circuit_matrix() * scale[:, None], np.diag(added)
+
+
 def build_telecloning_resource(spec_i: SqueezerSpec, spec_ii: SqueezerSpec,
                                eta: tuple[float, float, float] = (1.0, 1.0, 1.0)
                                ) -> GaussianState:
@@ -120,17 +129,15 @@ def build_telecloning_resource(spec_i: SqueezerSpec, spec_ii: SqueezerSpec,
     splitter produces A = (i + ii)/sqrt(2) and an internal mode; the
     second splits the internal mode against a vacuum into B and C; then
     mode k of (A, B, C) loses 1 - eta[k] to vacuum. The circuit and the
-    losses are one composed channel, applied once to the diagonal
-    covariance of the inputs.
+    losses are one channel, ``_resource_channel``, applied once to the
+    diagonal covariance of the inputs.
     """
     variances = (spec_i.antisqueezed_variance, spec_i.squeezed_variance,
                  spec_ii.squeezed_variance, spec_ii.antisqueezed_variance)
     check_variance_pair(*variances[:2])
     check_variance_pair(*variances[2:])
-    circuit = compose((resource_circuit_matrix(), np.zeros((6, 6))),
-                      loss_map(3, dict(zip((MODE_A, MODE_B, MODE_C), eta))))
     inputs = np.diag([*variances, VACUUM_VARIANCE, VACUUM_VARIANCE])
-    state = GaussianState(*channel_moments(circuit, np.zeros(6), inputs))
+    state = GaussianState(*channel_moments(_resource_channel(eta), np.zeros(6), inputs))
     assert_physical(state, context="telecloning resource")
     return state
 

@@ -185,15 +185,17 @@ def test_run_unphysical_squeezer_exits_2(capsys, tmp_path):
 def test_sample_negative_conditioned_variance_exits_2(capsys, tmp_path, mode):
     # rounding at 300 dB of antisqueezing leaves the conditioned receiver
     # covariance with diagonal (0.25, -8192, 0.25, -8.8e12), whose symplectic
-    # eigenvalues pass; one shot ended in a traceback and 1000 shots exited 0
+    # eigenvalues pass; one shot ended in a traceback and 1000 shots exited 0.
+    # Both negative variances lie within the check's rounding bound (4.4e14)
+    # of 0: lost precision, a numeric error
     path = tmp_path / "negative.cfg"
     path.write_text("[squeezer_ii]\nantisqueezing_db = 300.0\n"
                     "[input]\nalpha_re = 40.0\nalpha_im = 80.0\n[gains]\ngx2 = 300.0\n"
                     "[loss]\neta_resource_a = 0.999\neta_resource_b = 1e-09\n")
     code, out, err = run_cli(capsys, "sample", str(path), *mode)
     assert (code, out) == (2, "")
-    assert err.startswith("physicality error: unphysical state in conditioned receiver modes: "
-                          "variance -")
+    assert err == ("numeric error: conditioned receiver modes lost precision: variance "
+                   "-8.79609302221e+12 is within the rounding bound 4.44103253184e+14 of 0\n")
 
 
 @pytest.mark.parametrize("argv", (("run",), ("sample", "--shots", "16"),
@@ -226,9 +228,10 @@ def test_run_and_sample_accept_the_same_configs(capsys, tmp_path):
             assert [(c, e) for c, _, e in sampled] == [(code, err)] * 2, (name, err, sampled)
         decided[name] = code == 0 or "paths disagree" in err, err
     assert sum(ok for ok, _ in decided.values()) >= 100
-    assert decided["pure 180 dB"] == (False, "physicality error: unphysical state in "
-                                             "conditioned receiver modes: variance -8 is "
-                                             "not positive\n")
+    # its conditioned variance rounds to -8, within the bound 888 of 0
+    assert decided["pure 180 dB"] == (False, "numeric error: conditioned receiver modes lost "
+                                             "precision: variance -8 is within the rounding "
+                                             "bound 888.178419701 of 0\n")
 
 
 def test_sample_writes_deterministic_csv(capsys, tmp_path):
@@ -618,9 +621,9 @@ def test_each_command_builds_one_resource(capsys, monkeypatch, command):
     assert len(built) == 1
 
 
-def test_run_builds_two_gaussian_states(capsys, monkeypatch):
-    # the resource and the clone output: the pipeline between them, the
-    # measurement plan included, runs on plain arrays
+def test_run_builds_one_gaussian_state(capsys, monkeypatch):
+    # the resource: the pipeline after it, the measurement plan and the
+    # clone output included, runs on plain arrays
     from telecloning.gaussian import GaussianState
 
     built = []
@@ -633,7 +636,7 @@ def test_run_builds_two_gaussian_states(capsys, monkeypatch):
     monkeypatch.setattr(GaussianState, "__post_init__", counting)
     code, _, _ = run_cli(capsys, "run", str(CONFIGS / "paper.cfg"))
     assert code == 0
-    assert [state.n_modes for state in built] == [3, 2]
+    assert [state.n_modes for state in built] == [3]
 
 
 # Documents of the result's shape: dicts of str keys, nested three deep,
@@ -810,8 +813,8 @@ def test_sample_csv_keeps_a_pipe_when_a_draw_fails_a_check(capsys, tmp_path):
 @pytest.mark.parametrize("mode", ((), ("--sampled",)))
 def test_sample_csv_keeps_an_existing_file_when_the_run_fails_before_drawing(
         capsys, tmp_path, mode):
-    # the negative conditioned variance of the 300 dB config below fails the
-    # check made before the first chunk, so the file is never opened
+    # the conditioned variance that the 300 dB config below loses to rounding
+    # fails the check made before the first chunk, so the file is never opened
     path, csv_path = tmp_path / "negative.cfg", tmp_path / "shots.csv"
     path.write_text("[squeezer_ii]\nantisqueezing_db = 300.0\n"
                     "[input]\nalpha_re = 40.0\nalpha_im = 80.0\n[gains]\ngx2 = 300.0\n"
@@ -820,7 +823,7 @@ def test_sample_csv_keeps_an_existing_file_when_the_run_fails_before_drawing(
     code, out, err = run_cli(capsys, "sample", str(path), "--shots", "1000",
                              "--csv", str(csv_path), *mode)
     assert (code, out) == (2, "")
-    assert err.startswith("physicality error: unphysical state in conditioned receiver modes")
+    assert err.startswith("numeric error: conditioned receiver modes lost precision")
     assert csv_path.read_bytes() == b"shot,x_u\n0,1\n"
 
 
@@ -910,7 +913,10 @@ def test_analytic_overflow_names_its_stage(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
     assert code == 2
     assert out == ""
-    assert err.startswith("numeric error: analytic clone variances overflow")
+    # `run` checks the measurement plan first, as `sample` does; `sweep` has
+    # only the analytic route
+    stage = "measurement plan" if argv[0] == "run" else "analytic clone variances"
+    assert err.startswith(f"numeric error: {stage} overflow")
 
 
 def test_analytic_inf_is_a_numeric_error_not_a_path_disagreement(capsys, tmp_path):
@@ -926,6 +932,31 @@ def test_analytic_inf_is_a_numeric_error_not_a_path_disagreement(capsys, tmp_pat
                              "--from", "0", "--to", "10", "--steps", "3")
     assert (code, out) == (2, "")
     assert err == "numeric error: sweep result is not finite\n"
+
+
+def test_run_fails_at_the_stage_sample_names(capsys, tmp_path):
+    # `run` builds the checked measurement plan before the direct expansion,
+    # whose gx1 ** 2 also overflows, so all three commands name the plan
+    path = tmp_path / "overflow.cfg"
+    path.write_text("[gains]\ngx1 = 1e200\n")
+    results = [run_cli(capsys, *argv) for argv in (
+        ("run", str(path)), ("sample", str(path), "--shots", "16"),
+        ("sample", str(path), "--shots", "16", "--sampled"))]
+    assert results == [
+        (2, "", "numeric error: measurement plan overflows: a value is not finite\n")] * 3
+
+
+@pytest.mark.parametrize("param, top", (("squeezing_db", "3"), ("pump_mw", "90")))
+def test_sweep_nan_clone_variance_is_a_numeric_error(capsys, tmp_path, param, top):
+    # gp1 ** 2 overflows the Python-float ancilla term to inf, and its
+    # eta_homodyne term is inf * 0 = NaN: a numeric error, as in `run`, not a
+    # config error from the fidelity's positive-definite test
+    path = tmp_path / "nan.cfg"
+    path.write_text("[gains]\ngp1 = 1e178\n[loss]\neta_resource_a = 0\n")
+    code, out, err = run_cli(capsys, "sweep", str(path), "--param", param,
+                             "--from", "0", "--to", top, "--steps", "3")
+    assert (code, out) == (2, "")
+    assert err == "numeric error: analytic clone variances overflows: a value is not finite\n"
 
 
 @pytest.mark.parametrize("command, text", (

@@ -365,6 +365,23 @@ def test_negative_variance_is_unphysical(diagonal):
         assert_physical(bad, context="here")
 
 
+@pytest.mark.parametrize("variance, error, message", (
+    (0.0, FloatingPointError, "here lost precision: variance 0 is within the rounding "
+                              "bound 7.1054273586 of 0"),
+    (-7.0, FloatingPointError, "here lost precision: variance -7 is within the rounding "
+                               "bound 7.1054273586 of 0"),
+    (-7.2, PhysicalityError, "unphysical state in here: variance -7.2 is not positive"),
+))
+def test_variance_lost_to_rounding_is_a_numeric_error(variance, error, message):
+    # a variance at or below 0 by no more than the check's bound is the
+    # rounding of the subtraction that made it; only one further below is
+    # unphysical. Bound: 1e-9 + 8 * 4 * eps * 1e15 = 7.105...
+    cov = np.diag([0.25, variance, 0.25, 0.25])
+    with pytest.raises(error) as raised:
+        _assert_bona_fide(cov, np.diag([1e15] * 4), "here")
+    assert str(raised.value) == message
+
+
 @pytest.mark.parametrize("cov, physical", (
     (random_state(np.random.default_rng(4), 3).cov, True),
     (np.diag([1.0, -1.0]), False),

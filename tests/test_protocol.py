@@ -25,13 +25,20 @@ from telecloning import (
     run_monte_carlo,
     shot_normals,
 )
+from telecloning.gaussian import beam_splitter_50_50, compose, loss_map, symplectic_map
 from telecloning.protocol import (
     _CHUNK_SHOTS,
+    MODE_A,
+    MODE_B,
+    MODE_C,
+    MODE_IN,
     READOUT,
     _measurement_plan,
     _psd_sqrt,
+    _sender_channels,
     _simulate_shots,
 )
+from telecloning.resource import _resource_channel
 from telecloning.config import ConfigError, load_config, parse_config, protocol_config_from
 from helpers import (
     acceptance_pool,
@@ -578,7 +585,7 @@ def test_clone_output_is_physical_wherever_the_plan_builds():
     for name, config in acceptance_pool().items():
         try:
             config.plan
-        except PhysicalityError:  # a conditioned variance rounds to 0 or below
+        except FloatingPointError:  # a conditioned variance rounds to 0 or below
             continue
         assert is_physical(clone_output_state(config)), name
         built += 1
@@ -591,6 +598,29 @@ def test_pipeline_keeps_the_transmissivity_check():
     for route in (circuit_states, run_circuit_analytic):
         with pytest.raises(ValueError, match=r"^transmissivity must lie in \[0, 1\], got 1\.5$"):
             route(config)
+
+
+def test_scaled_channels_equal_the_composed_generic_channels():
+    # the route scales import-time splitter matrices by loss_diagonals; every
+    # other term of the generic products is an exact zero, so the bits agree
+    rng = np.random.default_rng(27)
+    bs = beam_splitter_50_50()
+    circuit = compose(symplectic_map(3, bs, [0, 1]), symplectic_map(3, bs, [1, 2]))
+    sender = symplectic_map(4, bs, [MODE_IN, MODE_A])
+    draws = np.concatenate(([0.0, 1.0, 1e-9], rng.uniform(0.0, 1.0, size=13)))
+    for _ in range(300):
+        t, eta, *eta_resource = rng.choice(draws, size=5)
+        split, detect = _sender_channels(t, eta)
+        split_ref = compose(loss_map(4, {MODE_B: t, MODE_C: t}), sender)
+        detect_ref = compose(split_ref, loss_map(4, {MODE_IN: eta, MODE_A: eta}))
+        channels = {
+            "resource": (_resource_channel(tuple(eta_resource)),
+                         compose(circuit, loss_map(3, dict(enumerate(eta_resource))))),
+            "split": (split, split_ref),
+            "detect": (detect, detect_ref),
+        }
+        for name, ((x, y), (x_ref, y_ref)) in channels.items():
+            assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref), (name, t, eta)
 
 
 def _close(got, want, rel=1e-14):

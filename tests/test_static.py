@@ -4,7 +4,12 @@ that no run would show."""
 import ast
 from pathlib import Path
 
-METRICS = Path(__file__).resolve().parent.parent / "src" / "telecloning" / "metrics.py"
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "telecloning"
+METRICS = PACKAGE / "metrics.py"
+# builders of a channel or operator from the generic gaussian ones
+ASSEMBLERS = {"loss_map", "compose", "symplectic_map", "eye"}
 
 
 def test_metrics_makes_no_linalg_call():
@@ -20,3 +25,31 @@ def test_metrics_makes_no_linalg_call():
                 "linalg" in alias.name for alias in node.names):
             used.append(node.lineno)
     assert not used, f"metrics.py references numpy.linalg at lines {used}"
+
+
+def _name(node: ast.AST) -> str:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def _assembly_calls(tree: ast.AST) -> list[tuple[str, int]]:
+    """Calls of ``ASSEMBLERS`` in function bodies, as (name, line), except in
+    a ``functools.cache`` (or ``lru_cache``) builder, which runs once per
+    argument rather than once per config."""
+    functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    cached = {id(node) for f in functions
+              if any(_name(getattr(d, "func", d)) in ("cache", "lru_cache")
+                     for d in f.decorator_list)
+              for node in ast.walk(f)}
+    return sorted({(_name(node.func), node.lineno) for f in functions for node in ast.walk(f)
+                   if isinstance(node, ast.Call) and id(node) not in cached
+                   and _name(node.func) in ASSEMBLERS})
+
+
+@pytest.mark.parametrize("module", ("protocol.py", "resource.py"))
+def test_circuit_route_assembles_no_operator_per_call(module):
+    # the network is fixed linear optics: its splitters are built at import
+    # or in a functools.cache builder, and a config's losses scale their rows
+    # and columns (gaussian.loss_diagonals); assembling loss_map, compose,
+    # symplectic_map or np.eye operators per call cost ~40% of a run op
+    calls = _assembly_calls(ast.parse((PACKAGE / module).read_text()))
+    assert not calls, f"{module} assembles operators per call: {calls}"
