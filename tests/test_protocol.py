@@ -8,7 +8,6 @@ import pytest
 
 from telecloning import (
     GaussianState,
-    PhysicalityError,
     ProtocolConfig,
     QuadratureSelector,
     SqueezerSpec,
