@@ -198,7 +198,7 @@ def fit_params(data: Sequence[tuple[float, float, float]],
         if p < 0.0:
             raise ValueError(f"data row {k} has a negative pump power {p} mW")
     pumps, s_meas, a_meas = np.array(rows).T
-    if len(np.unique(pumps)) != len(pumps):
+    if len(set(pumps.tolist())) != len(pumps):
         raise ValueError("pump values must be distinct")
     p_max = float(pumps.max())
     if p_max <= 0.0:

@@ -104,17 +104,21 @@ _SENDER_SPLITTER.flags.writeable = False
 _CHUNK_SHOTS = 1 << 13
 # glibc raises its mmap threshold to the size of a freed mmapped block, and
 # its trim threshold to twice that, for blocks up to 32 MiB (mallopt(3), the
-# dynamic mmap threshold). A run frees an untouched block of the size a
-# (6, shots) records array would have, so the chunk temporaries are kept on
-# the heap rather than trimmed after each chunk and faulted back in. Through
-# libc the block is never resident, and tracemalloc does not count it.
-# 64 KiB below 32 MiB leaves room for the chunk header.
+# dynamic mmap threshold). Import allocates and frees one untouched block of
+# this size, once per process, so fit grids, sweep blocks and Monte Carlo
+# chunks are kept on the heap rather than mmapped or trimmed after each call
+# and faulted back in, whichever module imported first. The cost: with the
+# trim threshold at about 64 MiB, a process keeps up to that much freed heap
+# instead of returning it.
+# Through libc the block is never resident, and tracemalloc does not count
+# it. 64 KiB below 32 MiB leaves room for the chunk header.
 _RELEASED_BLOCK_MAX = (32 << 20) - (64 << 10)
 try:
     _LIBC = ctypes.CDLL(None)
     _LIBC.malloc.restype = ctypes.c_void_p
     _LIBC.malloc.argtypes = (ctypes.c_size_t,)
     _LIBC.free.argtypes = (ctypes.c_void_p,)
+    _LIBC.free(_LIBC.malloc(_RELEASED_BLOCK_MAX))
 except (OSError, AttributeError, TypeError):  # no C library to call by name
     _LIBC = None
 # the largest rounding error of a reported Monte Carlo variance, relative to
@@ -476,8 +480,6 @@ def run_monte_carlo(config: ProtocolConfig, sampled: bool = False,
     n = config.shots
     size = min(n, _CHUNK_SHOTS)
     records = np.empty((6, size))
-    if _LIBC is not None:  # a records-sized block, allocated and freed untouched
-        _LIBC.free(_LIBC.malloc(min(48 * n, _RELEASED_BLOCK_MAX)))
     # one chunk's raw clone quadratures when sampled; in both modes its
     # shifted samples and squared deviations then overwrite them in turn
     buffer = np.empty((4, size))

@@ -39,7 +39,7 @@ from telecloning.config import (
 )
 from telecloning.csvtext import _round12, csv_rows
 from telecloning.opo import fidelity_vs_pump, pump_spectra
-from telecloning.protocol import clone_curve
+from telecloning.protocol import _LIBC, clone_curve
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -1038,6 +1038,70 @@ def test_fits_leave_scipy_unimported():
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def _fresh_interpreter(script: str, *argv: str) -> str:
+    """stdout of ``script`` run in a new interpreter on the package source."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script, *argv],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_cli_and_fits_leave_numpy_ma_and_random_unimported():
+    script = (
+        "import contextlib, io, runpy, sys\n"
+        "import telecloning, telecloning.cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[:2] in\n"
+        "                  (['numpy', 'ma'], ['numpy', 'random']))\n"
+        "cfg = sys.argv[1]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [telecloning.cli.main(argv) for argv in (\n"
+        "        ['run', cfg], ['criteria', cfg],\n"
+        "        ['sweep', cfg, '--param', 'pump_mw', '--from', '0', '--to', '90', '--steps', '241'],\n"
+        "        ['sweep', cfg, '--param', 'squeezing_db', '--from', '0', '--to', '12', '--steps', '241'])]\n"
+        "print(codes, loaded())\n"
+        "telecloning.fit_params([(10.0, 1.0, 1.5), (20.0, 2.0, 3.0), (30.0, 3.0, 4.5)])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    runpy.run_path(sys.argv[2], run_name='__main__')\n"
+        "print([m for m in loaded() if m.startswith('numpy.ma')])\n"
+    )
+    out = _fresh_interpreter(script, str(CONFIGS / "paper.cfg"),
+                             str(ROOT / "demos" / "05_pump_power.py"))
+    assert out == "[0, 0, 0, 0] []\n[]\n"
+
+
+@pytest.mark.skipif(_LIBC is None, reason="no C library to call by name")
+def test_fits_and_large_sweeps_stay_on_the_heap():
+    # the import-time freed block raises glibc's mmap and trim thresholds
+    # once per process, so repeated fits and sweeps fault no pages back in
+    script = (
+        "import contextlib, math, os, resource, sys\n"
+        "import telecloning, telecloning.cli\n"
+        "truth = telecloning.OPOParams(120.0, 0.8)\n"
+        "data = []\n"
+        "for k in range(12):\n"
+        "    spec = telecloning.squeezing_spectra(truth, 8.0 * (k + 1))\n"
+        "    data.append((8.0 * (k + 1), spec.squeezing_db + 0.05 * math.sin(k),\n"
+        "                 spec.antisqueezing_db + 0.05 * math.cos(k)))\n"
+        "sweep = ['sweep', sys.argv[1], '--param', 'pump_mw', '--from', '0', '--to', '90',\n"
+        "         '--steps', '100001']\n"
+        "def faults_per_call(call, repeats):\n"
+        "    call()\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    for _ in range(repeats):\n"
+        "        call()\n"
+        "    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / repeats\n"
+        "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+        "    fits = faults_per_call(lambda: telecloning.fit_params(data), 20)\n"
+        "    sweeps = faults_per_call(lambda: telecloning.cli.main(sweep), 3)\n"
+        "print(fits, sweeps)\n"
+    )
+    fits, sweeps = map(float, _fresh_interpreter(script, str(CONFIGS / "paper.cfg")).split())
+    assert fits < 10 and sweeps < 10, (fits, sweeps)
 
 
 def _reference_sweep_rows(cfg: dict, param: str, grid) -> list[tuple]:

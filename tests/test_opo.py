@@ -131,6 +131,12 @@ def test_fit_rejects_duplicate_pump_values():
         fit_params([(10.0, 1.0, 1.5), (10.0, 1.1, 1.6), (20.0, 2.0, 2.5)])
 
 
+def test_fit_rejects_signed_zero_pumps_as_duplicates():
+    # 0.0 == -0.0, as np.unique counts them
+    with pytest.raises(ValueError, match="pump values must be distinct"):
+        fit_params([(0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (20.0, 2.0, 2.5)])
+
+
 @pytest.mark.parametrize("kwargs", (
     {"p_threshold_mw": float("nan")},
     {"p_threshold_mw": float("inf")},
