@@ -123,12 +123,13 @@ def cmd_run(args) -> int:
     # the checked plan first, so a config fails at the stage `sample` names
     circuit = run_circuit_analytic(config)
     direct = run_analytic(config)
-    worst = max(
-        abs(getattr(getattr(direct, c), f) - getattr(getattr(circuit, c), f))
-        for c in ("clone1", "clone2")
-        for f in ("mean_x", "mean_p", "var_x", "var_p")
-    )
-    if worst > PATH_AGREEMENT_TOL:
+    pairs = [(getattr(getattr(direct, c), f), getattr(getattr(circuit, c), f))
+             for c in ("clone1", "clone2")
+             for f in ("mean_x", "mean_p", "var_x", "var_p")]
+    worst = max(abs(a - b) for a, b in pairs)
+    # relative to the result's scale: both routes sum terms that grow with
+    # the squeezing, so their rounding follows the largest moment, not each one
+    if worst > PATH_AGREEMENT_TOL * max(1.0, *(abs(a) for a, _ in pairs)):
         print(f"error: analytic paths disagree by {worst:.3e}", file=sys.stderr)
         return 2
     out = _run_output(cfg, config, circuit, "analytic")

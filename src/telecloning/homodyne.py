@@ -9,9 +9,11 @@ K of the other modes by the Gaussian conditional rule, a Schur complement
     mean_K' = mean_K + gain (value_Q - mean_Q)
     cov_K'  = C_KK - gain C_KQ^T
 
-The rule is written once, in ``conditional``, on a covariance array: it
-returns gain and cov_K', and callers apply the mean update. Measured
-modes are dropped: the readout destroys their conjugate quadratures.
+The rule is written once, in ``conditional``, on the blocks C_QQ, C_KQ
+and C_KK that its caller slices: it returns gain and cov_K', and callers
+apply the mean update. Measured modes are dropped: the readout destroys
+their conjugate quadratures. ``condition_on`` slices the blocks of one
+quadrature of a ``GaussianState``; the protocol slices its joint readout.
 
 Detector inefficiency is a loss channel on the mode ahead of the readout.
 
@@ -32,8 +34,6 @@ for the benchmark's tracer. A shot has 8 draws, so shot j depends only on
 
 from __future__ import annotations
 
-import functools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,46 +78,33 @@ def marginal(state: GaussianState, sel: QuadratureSelector) -> tuple[float, floa
     return float(state.mean[i]), float(state.cov[i, i])
 
 
-@functools.lru_cache(maxsize=256)
-def _readout_split(dim: int, sels: tuple[QuadratureSelector, ...]
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """``(keep, q)``, read-only: the quadrature indices of the unmeasured
-    modes and of the readout ``sels`` in a ``dim``-dimensional covariance."""
-    measured = [sel.mode for sel in sels]
-    _quadrature_indices(dim // 2, measured)  # range and duplicate check
-    keep = np.array([j for j in range(dim) if j // 2 not in measured])
-    if not keep.size:
-        raise ValueError("conditioning drops the measured modes; need at least one more")
-    q = np.array([sel.index() for sel in sels])
-    keep.flags.writeable = q.flags.writeable = False
-    return keep, q
-
-
-def conditional(cov: np.ndarray, sels: Sequence[QuadratureSelector]
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Conditional rule for a joint readout of quadratures of distinct modes
-    of a state with covariance ``cov``: ``(keep, gain, cond)``, the quadrature
-    indices of the unmeasured modes (read-only, kept per dimension and
-    readout), the gain C_KQ C_QQ^-1 and their outcome-independent covariance."""
-    keep, q = _readout_split(len(cov), tuple(sels))
-    sigma = cov[q[:, None], q]
+def conditional(sigma: np.ndarray, cross: np.ndarray, kept: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional rule for a joint readout, on the blocks its caller sliced:
+    ``sigma`` = C_QQ, ``cross`` = C_KQ and ``kept`` = C_KK. Returns the gain
+    C_KQ C_QQ^-1 and the outcome-independent covariance of the kept
+    quadratures."""
     v_min = sigma.diagonal().min()
     if v_min < DEGENERATE_VARIANCE_TOL:
         raise DegenerateVarianceError(
             f"marginal variance {v_min:.3e} is degenerate; cannot condition"
         )
-    cross = cov[keep[:, None], q]
     gain = np.linalg.solve(sigma.T, cross.T).T
-    cond = cov[keep[:, None], keep] - gain @ cross.T
+    cond = kept - gain @ cross.T
     # enforce exact symmetry against rounding in the update
-    return keep, gain, 0.5 * (cond + cond.T)
+    return gain, 0.5 * (cond + cond.T)
 
 
 def condition_on(state: GaussianState, sel: QuadratureSelector,
                  value: float) -> GaussianState:
     """State of the unmeasured modes given an observed quadrature value."""
-    keep, gain, cov = conditional(state.cov, [sel])
-    return GaussianState(state.mean[keep] + gain[:, 0] * (value - state.mean[sel.index()]), cov)
+    _quadrature_indices(state.n_modes, [sel.mode])  # range check
+    q, keep = [sel.index()], [j for j in range(state.mean.size) if j // 2 != sel.mode]
+    if not keep:
+        raise ValueError("conditioning drops the measured modes; need at least one more")
+    cov = state.cov
+    gain, cond = conditional(cov[np.ix_(q, q)], cov[np.ix_(keep, q)], cov[np.ix_(keep, keep)])
+    return GaussianState(state.mean[keep] + gain[:, 0] * (value - state.mean[q[0]]), cond)
 
 
 # Cephes ndtri (S. L. Moshier, "Methods and Programs for Mathematical

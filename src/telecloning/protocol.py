@@ -24,9 +24,10 @@ The same physics is evaluated by three routes that must agree:
     the squeezer inputs, and the couplers, the sender's splitter and her
     detection loss once to the input and the resource. One step of
     ``homodyne.conditional`` conditions the detected covariance on
-    ``READOUT``; only the resource is a ``GaussianState``. The feedforward
-    folds in exactly: an outcome-independent covariance and the outcome
-    average as mean.
+    ``READOUT``, on the readout, cross and kept blocks sliced once by the
+    import-time indices ``_READOUT_INDEX`` and ``_KEEP``; only the resource
+    is a ``GaussianState``. The feedforward folds in exactly: an
+    outcome-independent covariance and the outcome average as mean.
 
 ``run_monte_carlo``
     Samples the two measurement outcomes of every shot from the
@@ -90,9 +91,11 @@ MODE_IN, MODE_A, MODE_B, MODE_C = 0, 1, 2, 3
 
 # the sender's readout of x on u and p on v; her splitter outputs are (v, u)
 READOUT = (QuadratureSelector(1, "x"), QuadratureSelector(0, "p"))
-# their quadrature indices in the detected (in, A, B, C) moments
+# their quadrature indices in the detected (in, A, B, C) moments, and
+# those of the receiver modes B and C, which the readout keeps; read-only
 _READOUT_INDEX = np.array([sel.index() for sel in READOUT])
-_READOUT_INDEX.flags.writeable = False
+_KEEP = np.array([2 * mode + q for mode in (MODE_B, MODE_C) for q in (0, 1)])
+_READOUT_INDEX.flags.writeable = _KEEP.flags.writeable = False
 
 # the X of the sender's balanced splitter on (in, A, B, C), read-only
 _SENDER_SPLITTER = symplectic_map(4, beam_splitter_50_50(), [MODE_IN, MODE_A])[0]
@@ -340,18 +343,19 @@ def _measurement_plan(config: ProtocolConfig) -> _MeasurementPlan:
     """``config.plan``, checked in turn: the resource, a finite plan, then the
     conditioned receiver modes, bounded by the kept block they come from."""
     mean, cov = _circuit_moments(config)[2]
-    keep, gain, cond_cov = conditional(cov, READOUT)
-    q_idx = _READOUT_INDEX
+    q_idx, keep = _READOUT_INDEX, _KEEP
+    sigma_q, kept = cov[q_idx[:, None], q_idx], cov[keep[:, None], keep]
+    gain, cond_cov = conditional(sigma_q, cov[keep[:, None], q_idx], kept)
 
     g_x1, g_p1, g_x2, g_p2 = config.gains
     ffwd = math.sqrt(2.0) / math.sqrt(config.eta_homodyne) * np.array(
         [[g_x1, 0.0], [0.0, g_p1], [g_x2, 0.0], [0.0, g_p2]])
 
-    base_mean, mu_q, sigma_q = mean[keep], mean[q_idx], cov[q_idx[:, None], q_idx]
+    base_mean, mu_q = mean[keep], mean[q_idx]
     total = gain + ffwd
     spread = total @ sigma_q @ total.T
     _require_finite("measurement plan", total, spread)
-    _assert_bona_fide(cond_cov, cov[keep[:, None], keep], "conditioned receiver modes")
+    _assert_bona_fide(cond_cov, kept, "conditioned receiver modes")
     plan = _MeasurementPlan(
         base_mean=base_mean, mu_q=mu_q, sigma_q=sigma_q, ffwd=ffwd, cond_cov=cond_cov,
         total=total, offset=base_mean - gain @ mu_q, spread=spread)

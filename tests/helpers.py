@@ -37,7 +37,6 @@ from telecloning import (
     vacuum,
 )
 from telecloning.config import _SCHEMA, ConfigError, parse_config
-from telecloning.homodyne import conditional
 from telecloning.opo import _spectra
 from telecloning.protocol import READOUT
 
@@ -302,14 +301,19 @@ def reference_clone_state(config) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance of both clones from ``reference_circuit_states``:
     the readout of ``READOUT``, then the calibrated feedforward."""
     detected = reference_circuit_states(config)["detected"]
-    keep, gain, cond = conditional(detected.cov, READOUT)
     q = [sel.index() for sel in READOUT]
+    keep = [j for j in range(detected.mean.size) if j // 2 not in {sel.mode for sel in READOUT}]
+    cov = detected.cov
+    sigma, cross = cov[np.ix_(q, q)], cov[np.ix_(keep, q)]
+    # the Schur complement written out, not through the package's ``conditional``
+    gain = np.linalg.solve(sigma, cross.T).T
+    cond = cov[np.ix_(keep, keep)] - gain @ cross.T
     g_x1, g_p1, g_x2, g_p2 = config.gains
     ffwd = math.sqrt(2.0) / math.sqrt(config.eta_homodyne) * np.array(
         [[g_x1, 0.0], [0.0, g_p1], [g_x2, 0.0], [0.0, g_p2]])
     total = gain + ffwd
     mean = detected.mean[keep] + ffwd @ detected.mean[q]
-    return mean, cond + total @ detected.cov[np.ix_(q, q)] @ total.T
+    return mean, cond + total @ sigma @ total.T
 
 
 # The config file format as first written: the standard library's

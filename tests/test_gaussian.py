@@ -485,8 +485,9 @@ def test_conditioned_modes_check_agrees_with_a_60_digit_oracle():
         assert abs(computed - exact) <= bound, (config.spec_i, computed, exact, bound)
     # a conditioned thermal mode 2e-9 below the vacuum fails
     detected = np.diag([1.0] * 4 + [0.25 - 2e-9] * 4)
-    keep, _, cond = conditional(detected, READOUT)
+    kept = detected[np.ix_(KEPT, KEPT)]
+    _, cond = conditional(detected[np.ix_(q, q)], detected[np.ix_(KEPT, q)], kept)
     assert _exact_smallest_eigenvalue(cond) < -1.9e-9
     with pytest.raises(PhysicalityError, match=r"^unphysical state in conditioned receiver "
                                                r"modes: smallest eigenvalue "):
-        _assert_bona_fide(cond, detected[np.ix_(keep, keep)], "conditioned receiver modes")
+        _assert_bona_fide(cond, kept, "conditioned receiver modes")

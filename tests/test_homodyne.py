@@ -145,6 +145,16 @@ def successive_conditioning(state, first, second):
     return np.column_stack([c.mean for c in columns]), columns[0].cov
 
 
+def blocks(cov, q, keep):
+    """The readout, cross and kept blocks C_QQ, C_KQ and C_KK of ``cov``."""
+    return cov[np.ix_(q, q)], cov[np.ix_(keep, q)], cov[np.ix_(keep, keep)]
+
+
+def unmeasured(n_modes, *sels):
+    """Quadrature indices of the modes no selector reads."""
+    return [j for j in range(2 * n_modes) if j // 2 not in {sel.mode for sel in sels}]
+
+
 def assert_close_relative(actual, expected, rtol=1e-12):
     assert np.abs(actual - expected).max() <= rtol * np.abs(expected).max()
 
@@ -155,9 +165,8 @@ def test_joint_conditioning_equals_successive():
         st = random_state(rng, int(rng.integers(3, 5)))
         first, second = (QuadratureSelector(int(m), "xp"[rng.integers(2)])
                          for m in rng.choice(st.n_modes, size=2, replace=False))
-        keep, gain, cov = conditional(st.cov, [first, second])
-        assert keep.tolist() == [j for j in range(st.mean.size)
-                                 if j // 2 not in (first.mode, second.mode)]
+        gain, cov = conditional(*blocks(st.cov, [first.index(), second.index()],
+                                        unmeasured(st.n_modes, first, second)))
         gain_seq, cov_seq = successive_conditioning(st, first, second)
         assert_close_relative(gain, gain_seq)
         assert_close_relative(cov, cov_seq)
@@ -165,17 +174,19 @@ def test_joint_conditioning_equals_successive():
 
 
 def test_joint_conditioning_rejects_bad_selectors():
+    # ``condition_on`` derives its indices from the selector and checks them;
+    # ``conditional`` takes sliced blocks and checks the readout's variances
     st = random_state(np.random.default_rng(9), 2)
-    with pytest.raises(ValueError, match="duplicate"):
-        conditional(st.cov, [X0, P0])
-    with pytest.raises(ValueError, match="out of range"):
-        conditional(st.cov, [QuadratureSelector(2, "x")])
-    with pytest.raises(ValueError):
-        conditional(st.cov, [X0, QuadratureSelector(1, "p")])  # nothing left
+    with pytest.raises(ValueError, match=r"^modes \[2\] out of range for 2-mode state$"):
+        condition_on(st, QuadratureSelector(2, "x"), 0.0)
+    with pytest.raises(ValueError, match="^conditioning drops the measured modes; "
+                                         "need at least one more$"):
+        condition_on(vacuum(1), X0, 0.0)  # nothing left
     narrow = tensor(squeezed_vacuum(0.5, 0.5), squeezed_vacuum(1e-14, 0.0625 / 1e-14),
                     vacuum(1))
+    x1 = QuadratureSelector(1, "x")
     with pytest.raises(DegenerateVarianceError):
-        conditional(narrow.cov, [X0, QuadratureSelector(1, "x")])
+        conditional(*blocks(narrow.cov, [X0.index(), x1.index()], unmeasured(3, X0, x1)))
 
 
 def outcomes(state, sel, seed, n):
@@ -224,7 +235,8 @@ def test_law_of_total_expectation():
     sel = QuadratureSelector(0, "p")
     n = 100_000
     values = outcomes(st, sel, 6, n)
-    keep, gain, _ = conditional(st.cov, [sel])
+    keep = unmeasured(st.n_modes, sel)
+    gain, _ = conditional(*blocks(st.cov, [sel.index()], keep))
     conditioned = st.mean[keep] + (values - st.mean[sel.index()])[:, None] * gain[:, 0]
     for j in (0, 1, 99_999):
         assert np.array_equal(conditioned[j], condition_on(st, sel, values[j]).mean)

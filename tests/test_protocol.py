@@ -120,22 +120,24 @@ def test_plan_conditions_on_the_detected_state_of_circuit_states(monkeypatch):
     seen = []
     real = telecloning.protocol.conditional
 
-    def recording(cov, sels):
-        seen.append(cov)
-        return real(cov, sels)
+    def recording(*blocks):
+        seen.append(blocks)
+        return real(*blocks)
 
     monkeypatch.setattr(telecloning.protocol, "conditional", recording)
     rng = np.random.default_rng(31)
     configs = [protocol_config_from(load_config(str(CONFIGS / f"{name}.cfg")))
                for name in ("optimal", "classical", "paper")]
     configs += [random_config(rng) for _ in range(50)]
-    q = [sel.index() for sel in READOUT]
+    q, kept = [sel.index() for sel in READOUT], [4, 5, 6, 7]  # (xB, pB, xC, pC)
     for config in configs:
         seen.clear()
         plan = _measurement_plan(config)
         (conditioned,) = seen
         detected = circuit_states(config)["detected"]
-        assert detected.cov.tobytes() == conditioned.tobytes()
+        assert [block.tobytes() for block in conditioned] == [
+            detected.cov[np.ix_(rows, cols)].tobytes()
+            for rows, cols in ((q, q), (kept, q), (kept, kept))]
         assert plan.base_mean.tobytes() == detected.mean[4:].tobytes()  # xB, pB, xC, pC
         assert plan.mu_q.tobytes() == detected.mean[q].tobytes()
         assert alice_trace_levels(config)[0] == detected.cov[q[1], q[1]]
@@ -556,9 +558,9 @@ def test_config_keeps_one_plan(monkeypatch):
     conditioned = []
     real = telecloning.protocol.conditional
 
-    def counting(cov, sels):
-        conditioned.append(cov)
-        return real(cov, sels)
+    def counting(*blocks):
+        conditioned.append(blocks)
+        return real(*blocks)
 
     monkeypatch.setattr(telecloning.protocol, "conditional", counting)
     config = optimal_config(shots=20)
