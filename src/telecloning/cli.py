@@ -127,9 +127,9 @@ def cmd_run(args) -> int:
              for c in ("clone1", "clone2")
              for f in ("mean_x", "mean_p", "var_x", "var_p")]
     worst = max(abs(a - b) for a, b in pairs)
-    # relative to the result's scale: both routes sum terms that grow with
-    # the squeezing, so their rounding follows the largest moment, not each one
-    if worst > PATH_AGREEMENT_TOL * max(1.0, *(abs(a) for a, _ in pairs)):
+    # each moment against its own magnitude: a large variance may round by
+    # more than 1e-9, but a small variance next to large means may not
+    if any(abs(a - b) > PATH_AGREEMENT_TOL * max(1.0, abs(a), abs(b)) for a, b in pairs):
         print(f"error: analytic paths disagree by {worst:.3e}", file=sys.stderr)
         return 2
     out = _run_output(cfg, config, circuit, "analytic")

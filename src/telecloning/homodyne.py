@@ -99,8 +99,9 @@ def condition_on(state: GaussianState, sel: QuadratureSelector,
                  value: float) -> GaussianState:
     """State of the unmeasured modes given an observed quadrature value."""
     _quadrature_indices(state.n_modes, [sel.mode])  # range check
-    q, keep = [sel.index()], [j for j in range(state.mean.size) if j // 2 != sel.mode]
-    if not keep:
+    q = [sel.index()]
+    keep = _quadrature_indices(state.n_modes, [m for m in range(state.n_modes) if m != sel.mode])
+    if not keep.size:
         raise ValueError("conditioning drops the measured modes; need at least one more")
     cov = state.cov
     gain, cond = conditional(cov[np.ix_(q, q)], cov[np.ix_(keep, q)], cov[np.ix_(keep, keep)])

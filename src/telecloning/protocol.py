@@ -68,6 +68,7 @@ from .gaussian import (
     Channel,
     GaussianState,
     _assert_bona_fide,
+    _quadrature_indices,
     apply_channel,
     beam_splitter_50_50,
     channel_moments,
@@ -94,7 +95,7 @@ READOUT = (QuadratureSelector(1, "x"), QuadratureSelector(0, "p"))
 # their quadrature indices in the detected (in, A, B, C) moments, and
 # those of the receiver modes B and C, which the readout keeps; read-only
 _READOUT_INDEX = np.array([sel.index() for sel in READOUT])
-_KEEP = np.array([2 * mode + q for mode in (MODE_B, MODE_C) for q in (0, 1)])
+_KEEP = _quadrature_indices(4, (MODE_B, MODE_C))
 _READOUT_INDEX.flags.writeable = _KEEP.flags.writeable = False
 
 # the X of the sender's balanced splitter on (in, A, B, C), read-only

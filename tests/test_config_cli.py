@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import errno
 import io
 import json
@@ -233,6 +234,30 @@ def test_run_and_sample_accept_the_same_configs(capsys, tmp_path):
     assert decided["pure 180 dB"] == (False, "numeric error: conditioned receiver modes lost "
                                              "precision: variance -8 is within the rounding "
                                              "bound 888.178419701 of 0\n")
+
+
+@pytest.mark.parametrize("field, shift, code", (("mean_x", 1e-4, 0), ("var_x", 1e-6, 2)))
+def test_path_gate_holds_each_moment_to_its_own_scale(capsys, monkeypatch, tmp_path,
+                                                      field, shift, code):
+    # at alpha = 1e6 a mean may round by 1e-4 (1e-10 of itself), but the
+    # variances near 0.75 stay held to 1e-9: the means' scale loosens no variance
+    import telecloning.cli
+
+    real = telecloning.cli.run_circuit_analytic
+
+    def shifted(config):
+        moments = real(config)
+        clone1 = dataclasses.replace(moments.clone1,
+                                     **{field: getattr(moments.clone1, field) + shift})
+        return dataclasses.replace(moments, clone1=clone1)
+
+    monkeypatch.setattr(telecloning.cli, "run_circuit_analytic", shifted)
+    path = tmp_path / "bright.cfg"
+    path.write_text("[input]\nalpha_re = 1e6\n")
+    got, out, err = run_cli(capsys, "run", str(path))
+    assert got == code, err
+    if code:
+        assert (out, err) == ("", f"error: analytic paths disagree by {shift:.3e}\n")
 
 
 def test_sample_writes_deterministic_csv(capsys, tmp_path):
