@@ -34,6 +34,7 @@ for the benchmark's tracer. A shot has 8 draws, so shot j depends only on
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,7 +232,8 @@ def shot_normals(seed: int, first_shot: int, n_shots: int, draws: int) -> np.nda
         raise ValueError("shot indices must lie in [0, 2**64)")
     if not 0 <= draws <= _WORDS_PER_SHOT:
         raise ValueError(f"a shot has {_WORDS_PER_SHOT} draws, asked for {draws}")
-    bits = np.random.Philox(key=seed % 2**64, counter=2 * first_shot)
+    # a numpy integer is reduced as a Python int, which cannot overflow
+    bits = np.random.Philox(key=operator.index(seed) % 2**64, counter=2 * first_shot)
     words = bits.random_raw(_WORDS_PER_SHOT * n_shots).reshape(n_shots, _WORDS_PER_SHOT)
     return _to_normal(words[:, :draws])
 

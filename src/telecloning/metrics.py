@@ -100,22 +100,13 @@ def fidelity_general(mean, cov, alpha: complex):
     s_d = (d + 1/4) - b r, d^T S^{-1} d = dx^2 / s_a + (dp - r dx)^2 / s_d
     and det S = s_a s_d. V is positive definite when the pivots of its own
     LDL^T are, a > 0 and d - b (b / a) > 0.
-
-    A ``cov`` of shape (..., 2, 2) with ``mean`` of shape (..., 2) is a
-    batch of states, checked and evaluated in one call; the result is then
-    an array of the batch shape. Each entry is an elementwise function of
-    its own state, so it has the bits of a lone call on that state.
-    Otherwise the result is a float.
     """
-    cov = np.asarray(cov, dtype=float)
-    batch = cov.shape[:-2]
-    cov = cov.reshape(batch + (2, 2))
-    mean = np.asarray(mean, dtype=float).reshape(batch + (2,))
+    cov = np.asarray(cov, dtype=float).reshape(2, 2)
+    mean = np.asarray(mean, dtype=float).reshape(2)
     if not _is_symmetric(cov):
         raise ValueError("clone covariance is not symmetric")
-    fidelity = _fidelity(cov[..., 0, 0], cov[..., 0, 1], cov[..., 1, 1],
-                         mean[..., 0] - alpha.real, mean[..., 1] - alpha.imag)
-    return fidelity if batch else float(fidelity)
+    return float(_fidelity(cov[0, 0], cov[0, 1], cov[1, 1],
+                           mean[0] - alpha.real, mean[1] - alpha.imag))
 
 
 def fidelity_report(moments: "CloneMoments", alpha: complex) -> FidelityReport:

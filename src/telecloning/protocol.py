@@ -41,8 +41,9 @@ The same physics is evaluated by three routes that must agree:
     same memory at any shot count.
 
 Both circuit routes read ``ProtocolConfig.plan``, one plan per config,
-checked once as it is built: the resource, a finite plan and the
-conditioned receiver modes, so ``run`` and ``sample`` accept the same configs.
+checked once as it is built: the resource, a finite plan, the conditioned
+receiver modes, then the clone output, so ``run`` and ``sample`` accept the
+same configs and name the same stage when they fail.
 
 Imperfections: per-mode resource transmissivities; homodyne efficiency
 as a loss channel on the measured ports, with the configured gains
@@ -163,8 +164,10 @@ class ProtocolConfig:
             raise ValueError("eta_homodyne must lie in (0, 1]")
         if not 0.0 < self.coupler_t <= 1.0:
             raise ValueError("coupler_t must lie in (0, 1]")
-        if not isinstance(self.shots, numbers.Integral):
-            raise ValueError(f"shots must be an integer, got {self.shots!r}")
+        for name in ("shots", "seed"):  # a float seed would key Philox by its floor
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
         if self.shots > MAX_SHOTS:
@@ -250,22 +253,18 @@ def clone_curve(config: ProtocolConfig, squeezing_db, antisqueezing_db):
     """Clone 1's ``(var_x, var_p, fidelity)`` with both squeezers at each
     (squeezing_db, antisqueezing_db) pair, as arrays of the levels' shape;
     every other parameter comes from ``config``. ``squeezer_variances``
-    checks the levels."""
+    checks the levels, and the variances and the clone mean are checked
+    finite before the fidelity, so every value returned is finite."""
     v_sq, v_anti = squeezer_variances(squeezing_db, antisqueezing_db)
     var_x, var_p, _, _ = clone_variances(config, v_anti, v_sq, v_sq, v_anti)
     alpha = config.input_alpha
     g_x, g_p = config.gains[:2]
     dx, dp = g_x * alpha.real - alpha.real, g_p * alpha.imag - alpha.imag
-    try:
-        fidelity = _fidelity(var_x, 0.0, var_p, dx, dp)
-    except ValueError:
-        # a gain squared overflows the Python-float terms to inf silently,
-        # and inf * 0 is NaN: a numeric error, not a covariance out of range
-        _require_finite("analytic clone variances", var_x, var_p)
-        raise
-    # checked after the covariance, which reports a NaN variance first
+    # a gain squared overflows the Python-float terms to inf silently, and
+    # inf * 0 is NaN: numeric errors, checked as ``run_analytic`` checks them
+    _require_finite("analytic clone variances", var_x, var_p)
     _require_finite("clone mean", [dx, dp])
-    return var_x, var_p, fidelity
+    return var_x, var_p, _fidelity(var_x, 0.0, var_p, dx, dp)
 
 
 def run_analytic(config: ProtocolConfig) -> CloneMoments:
@@ -324,25 +323,30 @@ def circuit_states(config: ProtocolConfig) -> dict[str, GaussianState]:
 class _MeasurementPlan:
     """Affine structure of measurement plus feedforward, fixed per config.
 
-    For outcome vector m = (x_u, p_v) of ``READOUT`` and conditional gain G:
+    For outcome vector m = (x_u, p_v) of ``READOUT``, conditional gain G,
+    feedforward map F and pre-measurement receiver means mu_K:
 
-        clone means = base_mean + G (m - mu_q) + ffwd m = offset + total m
+        clone means = mu_K + G (m - mu_q) + F m = offset + total m
         clone cov   = cond_cov + spread
+
+    Averaged over the outcomes, the clone output is ``out_mean`` =
+    mu_K + F mu_q and ``out_cov`` = cond_cov + spread, symmetrised.
     """
 
-    base_mean: np.ndarray   # (4,)  pre-measurement means of (xB, pB, xC, pC)
     mu_q: np.ndarray        # (2,)  outcome means
     sigma_q: np.ndarray     # (2,2) outcome covariance
-    ffwd: np.ndarray        # (4,2) feedforward displacement map
     cond_cov: np.ndarray    # (4,4) outcome-independent conditional covariance
-    total: np.ndarray       # (4,2) G + ffwd
-    offset: np.ndarray      # (4,)  base_mean - G mu_q
+    total: np.ndarray       # (4,2) G + F
+    offset: np.ndarray      # (4,)  mu_K - G mu_q
     spread: np.ndarray      # (4,4) total sigma_q total^T, the clone means' covariance
+    out_mean: np.ndarray    # (4,)  clone output means of (xB, pB, xC, pC)
+    out_cov: np.ndarray     # (4,4) clone output covariance
 
 
 def _measurement_plan(config: ProtocolConfig) -> _MeasurementPlan:
-    """``config.plan``, checked in turn: the resource, a finite plan, then the
-    conditioned receiver modes, bounded by the kept block they come from."""
+    """``config.plan``, checked in turn: the resource, a finite plan, the
+    conditioned receiver modes, bounded by the kept block they come from,
+    then the clone output."""
     mean, cov = _circuit_moments(config)[2]
     q_idx, keep = _READOUT_INDEX, _KEEP
     sigma_q, kept = cov[q_idx[:, None], q_idx], cov[keep[:, None], keep]
@@ -357,9 +361,13 @@ def _measurement_plan(config: ProtocolConfig) -> _MeasurementPlan:
     spread = total @ sigma_q @ total.T
     _require_finite("measurement plan", total, spread)
     _assert_bona_fide(cond_cov, kept, "conditioned receiver modes")
+    out_mean = base_mean + ffwd @ mu_q
+    out_cov = cond_cov + spread
+    out_cov = 0.5 * (out_cov + out_cov.T)
+    _require_finite("clone output", out_mean, out_cov)
     plan = _MeasurementPlan(
-        base_mean=base_mean, mu_q=mu_q, sigma_q=sigma_q, ffwd=ffwd, cond_cov=cond_cov,
-        total=total, offset=base_mean - gain @ mu_q, spread=spread)
+        mu_q=mu_q, sigma_q=sigma_q, cond_cov=cond_cov, total=total,
+        offset=base_mean - gain @ mu_q, spread=spread, out_mean=out_mean, out_cov=out_cov)
     for array in vars(plan).values():
         array.flags.writeable = False
     return plan
@@ -372,29 +380,21 @@ def _require_finite(what: str, *values) -> None:
         raise FloatingPointError(f"{what} overflows: a value is not finite")
 
 
-def _clone_output(plan: _MeasurementPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance of ``clone_output_state``, as plain arrays."""
-    out_mean = plan.base_mean + plan.ffwd @ plan.mu_q
-    out_cov = plan.cond_cov + plan.spread
-    out_cov = 0.5 * (out_cov + out_cov.T)
-    _require_finite("clone output", out_mean, out_cov)
-    return out_mean, out_cov
-
-
 def clone_output_state(config: ProtocolConfig) -> GaussianState:
     """Two-mode Gaussian state of the clones after feedforward, averaged
     over the measurement outcomes (for a fixed outcome only the mean
-    differs). Its V adds spread = total sigma_q total^T >= 0 to the checked
-    conditioned receiver modes, so by Weyl it is physical wherever they are."""
-    return GaussianState(*_clone_output(config.plan))
+    differs): the plan's checked ``out_mean`` and ``out_cov``. Its V adds
+    spread = total sigma_q total^T >= 0 to the checked conditioned receiver
+    modes, so by Weyl it is physical wherever they are."""
+    return GaussianState(config.plan.out_mean, config.plan.out_cov)
 
 
 def run_circuit_analytic(config: ProtocolConfig) -> CloneMoments:
     """Clone moments from the covariance-matrix pipeline: the means and
     variances of ``clone_output_state``, read from ``config.plan``."""
-    mean, cov = _clone_output(config.plan)
-    x1, p1, x2, p2 = mean.tolist()
-    v_x1, v_p1, v_x2, v_p2 = cov.diagonal().tolist()
+    plan = config.plan
+    x1, p1, x2, p2 = plan.out_mean.tolist()
+    v_x1, v_p1, v_x2, v_p2 = plan.out_cov.diagonal().tolist()
     return CloneMoments(QuadratureMoments(x1, p1, v_x1, v_p1),
                         QuadratureMoments(x2, p2, v_x2, v_p2))
 

@@ -17,7 +17,7 @@ pump-power curve provides.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,21 +47,20 @@ class SqueezerSpec:
     ``squeezing_db`` is the reduction of the squeezed quadrature and
     ``antisqueezing_db`` the excess of the conjugate one, both quoted as
     non-negative magnitudes. Equal magnitudes describe a pure state.
+    ``squeezed_variance`` and ``antisqueezed_variance`` are the checked
+    ``squeezer_variances`` of the levels, set once as the spec is built;
+    ``==``, ``hash`` and ``repr`` read only the levels.
     """
 
     squeezing_db: float
     antisqueezing_db: float
+    squeezed_variance: float = field(init=False, repr=False, compare=False)
+    antisqueezed_variance: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        squeezer_variances(self.squeezing_db, self.antisqueezing_db)
-
-    @property
-    def squeezed_variance(self) -> float:
-        return db_to_variance(-self.squeezing_db)
-
-    @property
-    def antisqueezed_variance(self) -> float:
-        return db_to_variance(self.antisqueezing_db)
+        v_sq, v_anti = squeezer_variances(self.squeezing_db, self.antisqueezing_db)
+        object.__setattr__(self, "squeezed_variance", float(v_sq))
+        object.__setattr__(self, "antisqueezed_variance", float(v_anti))
 
     @classmethod
     def pure(cls, squeezing_db: float) -> "SqueezerSpec":

@@ -957,19 +957,26 @@ def test_analytic_inf_is_a_numeric_error_not_a_path_disagreement(capsys, tmp_pat
     code, out, err = run_cli(capsys, "sweep", str(path), "--param", "squeezing_db",
                              "--from", "0", "--to", "10", "--steps", "3")
     assert (code, out) == (2, "")
-    assert err == "numeric error: sweep result is not finite\n"
+    assert err == "numeric error: analytic clone variances overflows: a value is not finite\n"
 
 
 def test_run_fails_at_the_stage_sample_names(capsys, tmp_path):
     # `run` builds the checked measurement plan before the direct expansion,
-    # whose gx1 ** 2 also overflows, so all three commands name the plan
+    # whose gx1 ** 2 also overflows, so all three commands name the plan; the
+    # plan also checks the clone output, whose mean gx1 * alpha_re overflows
+    # where the plan is finite, so `sample` names that stage too rather than
+    # finding its samples too coarse
     path = tmp_path / "overflow.cfg"
-    path.write_text("[gains]\ngx1 = 1e200\n")
-    results = [run_cli(capsys, *argv) for argv in (
-        ("run", str(path)), ("sample", str(path), "--shots", "16"),
-        ("sample", str(path), "--shots", "16", "--sampled"))]
-    assert results == [
-        (2, "", "numeric error: measurement plan overflows: a value is not finite\n")] * 3
+    for text, stage in (
+            ("[gains]\ngx1 = 1e200\n", "measurement plan"),
+            ("[gains]\ngx1 = 1e153\n[input]\nalpha_re = 1e156\nalpha_im = 1\n",
+             "clone output")):
+        path.write_text(text)
+        results = [run_cli(capsys, *argv) for argv in (
+            ("run", str(path)), ("sample", str(path), "--shots", "16"),
+            ("sample", str(path), "--shots", "16", "--sampled"))]
+        assert results == [
+            (2, "", f"numeric error: {stage} overflows: a value is not finite\n")] * 3
 
 
 @pytest.mark.parametrize("param, top", (("squeezing_db", "3"), ("pump_mw", "90")))

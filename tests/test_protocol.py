@@ -75,16 +75,25 @@ def test_config_validation():
         ProtocolConfig(OPT, OPT, gains=(1.0, 1.0))
 
 
-@pytest.mark.parametrize("shots", (2.5, 16.0, "16", None))
-def test_config_rejects_non_integer_shots(shots):
-    # numpy would refuse any of these as a buffer size inside run_monte_carlo;
-    # the CLI reports the ConfigError as exit 1
-    with pytest.raises(ValueError, match=r"^shots must be an integer, got "):
-        ProtocolConfig(OPT, OPT, shots=shots)
-    cfg = dict(parse_config(""), **{"run.shots": shots})
-    with pytest.raises(ConfigError, match=r"^shots must be an integer, got "):
+NON_INTEGERS = (2.5, 16.0, "16", None)
+
+
+@pytest.mark.parametrize("field, value",
+                         [("shots", v) for v in NON_INTEGERS] + [("seed", v) for v in NON_INTEGERS],
+                         ids=[*map(str, NON_INTEGERS), *(f"seed-{v}" for v in NON_INTEGERS)])
+def test_config_rejects_non_integer_shots(field, value):
+    # numpy would refuse any of these as a buffer size inside run_monte_carlo,
+    # and a float seed would key Philox by its floor (seed 2.5 drew seed 2's
+    # shots); the CLI reports the ConfigError as exit 1
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
+        ProtocolConfig(OPT, OPT, **{field: value})
+    cfg = dict(parse_config(""), **{f"run.{field}": value})
+    with pytest.raises(ConfigError, match=rf"^{field} must be an integer, got "):
         protocol_config_from(cfg)
-    assert run_monte_carlo(ProtocolConfig(OPT, OPT, shots=np.int64(16))).clone1.var_x > 0.0
+    # a numpy integer is accepted and runs as the Python int does
+    runs = [run_monte_carlo(ProtocolConfig(OPT, OPT, **{"shots": 16, field: n}))
+            for n in (np.int64(5), 5)]
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("alpha", (complex(np.nan, 0.0), complex(0.0, np.inf),
@@ -93,6 +102,13 @@ def test_config_rejects_non_finite_input(alpha):
     with pytest.raises(ValueError, match="input_alpha") as info:
         ProtocolConfig(OPT, OPT, input_alpha=alpha)
     assert str(alpha) in str(info.value)
+
+
+def feedforward(config):
+    """The plan's (4, 2) feedforward map, by the plan's own expression."""
+    g_x1, g_p1, g_x2, g_p2 = config.gains
+    return math.sqrt(2.0) / math.sqrt(config.eta_homodyne) * np.array(
+        [[g_x1, 0.0], [0.0, g_p1], [g_x2, 0.0], [0.0, g_p2]])
 
 
 def test_plan_conditioning_equals_successive_readouts():
@@ -108,7 +124,8 @@ def test_plan_conditioning_equals_successive_readouts():
         columns = [condition_on(condition_on(zero, first, a), second, b)
                    for a, b in ((1.0, 0.0), (0.0, 1.0))]
         gain = np.column_stack([c.mean for c in columns])
-        for actual, expected in ((plan.total - plan.ffwd, gain), (plan.cond_cov, columns[0].cov)):
+        for actual, expected in ((plan.total - feedforward(config), gain),
+                                 (plan.cond_cov, columns[0].cov)):
             assert np.abs(actual - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
@@ -138,7 +155,8 @@ def test_plan_conditions_on_the_detected_state_of_circuit_states(monkeypatch):
         assert [block.tobytes() for block in conditioned] == [
             detected.cov[np.ix_(rows, cols)].tobytes()
             for rows, cols in ((q, q), (kept, q), (kept, kept))]
-        assert plan.base_mean.tobytes() == detected.mean[4:].tobytes()  # xB, pB, xC, pC
+        out_mean = detected.mean[4:] + feedforward(config) @ detected.mean[q]  # xB, pB, xC, pC
+        assert plan.out_mean.tobytes() == out_mean.tobytes()
         assert plan.mu_q.tobytes() == detected.mean[q].tobytes()
         assert alice_trace_levels(config)[0] == detected.cov[q[1], q[1]]
 

@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,6 +38,26 @@ def test_spec_variances_from_db():
     spec = SqueezerSpec(3.0, 6.0)
     assert spec.squeezed_variance == pytest.approx(0.25 * 10**-0.3)
     assert spec.antisqueezed_variance == pytest.approx(0.25 * 10**0.6)
+
+
+def test_spec_variances_are_set_once_from_the_checked_levels():
+    levels = [(3.0, 6.0), (0.0, 0.0), (7.659, 7.659), (2.5, 11.25), (12, 100)]
+    for sq, anti in levels:
+        spec = SqueezerSpec(sq, anti)
+        v_sq, v_anti = squeezer_variances(sq, anti)
+        assert type(spec.squeezed_variance) is type(spec.antisqueezed_variance) is float
+        assert (spec.squeezed_variance, spec.antisqueezed_variance) == (v_sq, v_anti)
+        assert np.float64(spec.squeezed_variance).tobytes() == v_sq.tobytes()
+        assert np.float64(spec.antisqueezed_variance).tobytes() == v_anti.tobytes()
+        # the stored variances are derived: equality, hash and repr read the levels
+        twin = SqueezerSpec(sq, anti)
+        object.__setattr__(twin, "squeezed_variance", -1.0)
+        assert twin == spec and hash(twin) == hash(spec)
+        assert repr(spec) == f"SqueezerSpec(squeezing_db={sq!r}, antisqueezing_db={anti!r})"
+    # replace builds a new spec, whose variances come from its own levels
+    moved = dataclasses.replace(SqueezerSpec(3.0, 6.0), antisqueezing_db=9.0)
+    assert moved.antisqueezed_variance == float(squeezer_variances(3.0, 9.0)[1])
+    assert moved.squeezed_variance == SqueezerSpec(3.0, 6.0).squeezed_variance
 
 
 def test_spec_rejects_impossible_pair():

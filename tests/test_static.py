@@ -53,3 +53,21 @@ def test_circuit_route_assembles_no_operator_per_call(module):
     # symplectic_map or np.eye operators per call cost ~40% of a run op
     calls = _assembly_calls(ast.parse((PACKAGE / module).read_text()))
     assert not calls, f"{module} assembles operators per call: {calls}"
+
+
+def test_every_plan_field_is_read_by_a_route():
+    # the measurement plan holds exactly what the routes read: a field that
+    # only its builder or the tests read is work done per config for nothing
+    # (matched by attribute name, outside ``_measurement_plan`` itself)
+    trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    (plan,) = [node for node in ast.walk(trees["protocol.py"])
+               if isinstance(node, ast.ClassDef) and node.name == "_MeasurementPlan"]
+    fields = {node.target.id for node in plan.body if isinstance(node, ast.AnnAssign)}
+    builder = {id(node) for f in ast.walk(trees["protocol.py"])
+               if isinstance(f, ast.FunctionDef) and f.name == "_measurement_plan"
+               for node in ast.walk(f)}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in builder}
+    unread = sorted(fields - read)
+    assert fields and not unread, f"plan fields no route reads: {unread}"
