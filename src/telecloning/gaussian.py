@@ -334,23 +334,38 @@ def assert_physical(state: GaussianState, context: str = "") -> None:
     _assert_bona_fide(state.cov, state.cov, context)
 
 
-def _assert_bona_fide(cov: np.ndarray, source: np.ndarray, context: str = "") -> None:
-    """``assert_physical`` on a covariance array computed from ``source``, with
-    ||source||_inf for ||V||_inf: it carries the rounding of that subtraction."""
-    where = f" in {context}" if context else ""
-    dim = cov.shape[0]
-    bound = PHYSICALITY_TOL + 8 * dim * _EPS * np.abs(source).sum(axis=1).max()
+def _rounding_bound(source: np.ndarray) -> float:
+    """PHYSICALITY_TOL + 8 n eps ||source||_inf, n the dimension of ``source``."""
+    return PHYSICALITY_TOL + 8 * source.shape[0] * _EPS * np.abs(source).sum(axis=1).max()
+
+
+def _assert_variances(cov: np.ndarray, source: np.ndarray, context: str = "") -> None:
+    """The part of ``_assert_bona_fide`` that solves no eigenproblem: every
+    variance positive, a variance at or below 0 by no more than
+    ``_rounding_bound(source)`` being lost precision, and every entry finite.
+    The bound is computed only when a variance fails."""
     v_min = cov.diagonal().min()
     if v_min <= 0.0:  # a NaN goes on to the LinAlgError below, a numeric error
+        bound = _rounding_bound(source)
         if v_min >= -bound:
             raise FloatingPointError(
                 f"{context or 'covariance'} lost precision: variance {v_min:.12g} "
                 f"is within the rounding bound {bound:.12g} of 0")
+        where = f" in {context}" if context else ""
         raise PhysicalityError(f"unphysical state{where}: variance {v_min:.12g} is not positive")
     if not np.isfinite(cov).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    lam_min = np.linalg.eigvalsh(cov + _bona_fide_shift(dim // 2))[0]
+
+
+def _assert_bona_fide(cov: np.ndarray, source: np.ndarray, context: str = "") -> None:
+    """``assert_physical`` on a covariance array computed from ``source``, with
+    ||source||_inf for ||V||_inf: it carries the rounding of that subtraction.
+    ``_assert_variances`` first, then the smallest eigenvalue."""
+    _assert_variances(cov, source, context)
+    bound = _rounding_bound(source)
+    lam_min = np.linalg.eigvalsh(cov + _bona_fide_shift(cov.shape[0] // 2))[0]
     if not lam_min >= -bound:  # a NaN fails too
+        where = f" in {context}" if context else ""
         raise PhysicalityError(
             f"unphysical state{where}: smallest eigenvalue of V + (i/4) Omega "
             f"{lam_min:.12g} < -{bound:.12g}"

@@ -41,9 +41,14 @@ The same physics is evaluated by three routes that must agree:
     same memory at any shot count.
 
 Both circuit routes read ``ProtocolConfig.plan``, one plan per config,
-checked once as it is built: the resource, a finite plan, the conditioned
-receiver modes, then the clone output, so ``run`` and ``sample`` accept the
-same configs and name the same stage when they fail.
+checked once as it is built: a finite resource, a finite plan, positive
+and finite conditioned receiver variances, then a finite clone output, so
+``run`` and ``sample`` accept the same configs and name the same stage
+when they fail. The states are physical by construction: the config
+checks each squeezer's uncertainty product and every transmissivity, and
+every element keeps the bona fide condition (Weedbrook et al., RMP 84, 621
+(2012)), so no route solves an eigenproblem to check them; the tests hold
+them to ``gaussian.assert_physical``.
 
 Imperfections: per-mode resource transmissivities; homodyne efficiency
 as a loss channel on the measured ports, with the configured gains
@@ -68,7 +73,7 @@ import numpy as np
 from .gaussian import (
     Channel,
     GaussianState,
-    _assert_bona_fide,
+    _assert_variances,
     _quadrature_indices,
     apply_channel,
     beam_splitter_50_50,
@@ -256,15 +261,21 @@ def clone_curve(config: ProtocolConfig, squeezing_db, antisqueezing_db):
     checks the levels, and the variances and the clone mean are checked
     finite before the fidelity, so every value returned is finite."""
     v_sq, v_anti = squeezer_variances(squeezing_db, antisqueezing_db)
-    var_x, var_p, _, _ = clone_variances(config, v_anti, v_sq, v_sq, v_anti)
+    # a gain squared times a variance can overflow to inf, and inf * 0 is
+    # NaN: numeric errors, named below as ``run_analytic`` names them, in
+    # place of numpy's warning or, under a caller's errstate, its raw text
+    with np.errstate(over="ignore", invalid="ignore"):
+        var_x, var_p, _, _ = clone_variances(config, v_anti, v_sq, v_sq, v_anti)
     alpha = config.input_alpha
     g_x, g_p = config.gains[:2]
     dx, dp = g_x * alpha.real - alpha.real, g_p * alpha.imag - alpha.imag
-    # a gain squared overflows the Python-float terms to inf silently, and
-    # inf * 0 is NaN: numeric errors, checked as ``run_analytic`` checks them
     _require_finite("analytic clone variances", var_x, var_p)
     _require_finite("clone mean", [dx, dp])
-    return var_x, var_p, _fidelity(var_x, 0.0, var_p, dx, dp)
+    try:
+        return var_x, var_p, _fidelity(var_x, 0.0, var_p, dx, dp)
+    except FloatingPointError:  # numpy's text, under a caller's errstate(over="raise")
+        raise FloatingPointError(
+            "clone fidelity overflows: an intermediate value is out of the float range") from None
 
 
 def run_analytic(config: ProtocolConfig) -> CloneMoments:
@@ -344,9 +355,12 @@ class _MeasurementPlan:
 
 
 def _measurement_plan(config: ProtocolConfig) -> _MeasurementPlan:
-    """``config.plan``, checked in turn: the resource, a finite plan, the
-    conditioned receiver modes, bounded by the kept block they come from,
-    then the clone output."""
+    """``config.plan``, checked in turn: a finite resource, a finite plan,
+    the conditioned receiver variances (``gaussian._assert_variances``: a
+    variance at or below 0 within the rounding bound of the kept block it
+    comes from is lost precision, one below it unphysical), then a finite
+    clone output. The conditioned modes are bona fide by construction, so
+    no eigenproblem is solved: only their lost precision can fail here."""
     mean, cov = _circuit_moments(config)[2]
     q_idx, keep = _READOUT_INDEX, _KEEP
     sigma_q, kept = cov[q_idx[:, None], q_idx], cov[keep[:, None], keep]
@@ -360,7 +374,7 @@ def _measurement_plan(config: ProtocolConfig) -> _MeasurementPlan:
     total = gain + ffwd
     spread = total @ sigma_q @ total.T
     _require_finite("measurement plan", total, spread)
-    _assert_bona_fide(cond_cov, kept, "conditioned receiver modes")
+    _assert_variances(cond_cov, kept, "conditioned receiver modes")
     out_mean = base_mean + ffwd @ mu_q
     out_cov = cond_cov + spread
     out_cov = 0.5 * (out_cov + out_cov.T)
@@ -384,8 +398,9 @@ def clone_output_state(config: ProtocolConfig) -> GaussianState:
     """Two-mode Gaussian state of the clones after feedforward, averaged
     over the measurement outcomes (for a fixed outcome only the mean
     differs): the plan's checked ``out_mean`` and ``out_cov``. Its V adds
-    spread = total sigma_q total^T >= 0 to the checked conditioned receiver
-    modes, so by Weyl it is physical wherever they are."""
+    spread = total sigma_q total^T >= 0 to the conditioned receiver modes,
+    so by Weyl it is physical wherever they are, and they are by
+    construction; the tests hold it to ``assert_physical``, no route does."""
     return GaussianState(config.plan.out_mean, config.plan.out_cov)
 
 

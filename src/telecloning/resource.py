@@ -27,7 +27,6 @@ from .gaussian import (
     Channel,
     GaussianState,
     PhysicalityError,
-    assert_physical,
     beam_splitter_50_50,
     channel_moments,
     check_variance_pair,
@@ -84,8 +83,15 @@ def squeezer_variances(squeezing_db, antisqueezing_db):
         raise ValueError("dB noise levels are magnitudes and must be finite and "
                          f">= 0; got {sq.flat[k]} and {anti.flat[k]} dB")
     with np.errstate(over="raise"):
-        v_sq = db_to_variance(-sq)
-        v_anti = db_to_variance(anti)
+        v_sq = db_to_variance(-sq)  # sq >= 0: at most the vacuum variance
+        try:
+            v_anti = db_to_variance(anti)
+        except FloatingPointError:  # numpy's text names no value: find the first
+            with np.errstate(over="ignore"):
+                k = np.argmax(np.isinf(db_to_variance(anti)))
+            raise FloatingPointError(
+                f"squeezer variance overflows: antisqueezing {anti.flat[k]} dB "
+                "is out of the float range") from None
     unphysical = v_sq * v_anti < MIN_VARIANCE_PRODUCT
     if unphysical.any():
         k = np.argmax(unphysical)
@@ -130,6 +136,11 @@ def build_telecloning_resource(spec_i: SqueezerSpec, spec_ii: SqueezerSpec,
     mode k of (A, B, C) loses 1 - eta[k] to vacuum. The circuit and the
     losses are one channel, ``_resource_channel``, applied once to the
     diagonal covariance of the inputs.
+
+    The state is bona fide by construction (each squeezer passes
+    ``check_variance_pair``, and splitters and losses keep the condition),
+    so no eigenproblem is solved: the tests hold it to ``assert_physical``.
+    A non-finite covariance raises ``LinAlgError``, as that check would.
     """
     variances = (spec_i.antisqueezed_variance, spec_i.squeezed_variance,
                  spec_ii.squeezed_variance, spec_ii.antisqueezed_variance)
@@ -137,7 +148,8 @@ def build_telecloning_resource(spec_i: SqueezerSpec, spec_ii: SqueezerSpec,
     check_variance_pair(*variances[2:])
     inputs = np.diag([*variances, VACUUM_VARIANCE, VACUUM_VARIANCE])
     state = GaussianState(*channel_moments(_resource_channel(eta), np.zeros(6), inputs))
-    assert_physical(state, context="telecloning resource")
+    if not np.isfinite(state.cov).all():  # an antisqueezed variance can overflow the sums
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     return state
 
 

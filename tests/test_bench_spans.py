@@ -64,17 +64,22 @@ def test_every_tracer_name_exists_in_the_package():
 
 def test_exit_stage_names_each_known_defect(monkeypatch):
     # circuit-audit accepts the wide configs' failures only at these stages;
-    # a reworded error message would make every such failure unexpected
+    # a reworded error message would make every such failure unexpected.
+    # The states are physical by construction and no command checks their
+    # bona fide condition, so a failing physicality tolerance changes no
+    # exit: the first entry names a stage no command reaches any more
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
     spec.loader.exec_module(workloads)
-    stages = []
+    argv = ["run", str(ROOT / "configs" / "paper.cfg")]
+    codes = []
     for module, tolerance in ((telecloning.gaussian, "PHYSICALITY_TOL"),
                               (telecloning.cli, "PATH_AGREEMENT_TOL")):
         with monkeypatch.context() as patch:
-            patch.setattr(module, tolerance, -1.0)  # the check fails on paper.cfg
+            patch.setattr(module, tolerance, -1.0)  # the check would fail on paper.cfg
             outcome = workloads.Outcome()
-            code = workloads.cli_call(["run", str(ROOT / "configs" / "paper.cfg")], outcome)
-        stages.append(workloads.exit_stage(code, outcome.stderr[0]))
-    assert tuple(stages) == workloads.CircuitAudit.KNOWN_DEFECTS
+            codes.append(workloads.cli_call(argv, outcome))
+    assert codes == [0, 2], outcome.stderr
+    stage = workloads.exit_stage(codes[1], outcome.stderr[0])
+    assert stage == workloads.CircuitAudit.KNOWN_DEFECTS[1]

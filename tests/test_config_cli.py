@@ -200,14 +200,19 @@ def test_sample_negative_conditioned_variance_exits_2(capsys, tmp_path, mode):
 
 
 @pytest.mark.parametrize("argv", (("run",), ("sample", "--shots", "16"),
-                                  ("sample", "--shots", "16", "--sampled")))
+                                  ("sample", "--shots", "16", "--sampled"), ("criteria",)))
 def test_physicality_checks_make_no_general_eigvals_call(capsys, monkeypatch, argv):
-    # each check is one Hermitian eigvalsh: the non-Hermitian eigvals of
-    # i Omega V cost twice as much and rejected valid states above ~80 dB
-    def refuse(*args, **kwargs):
-        raise AssertionError("np.linalg.eigvals was called")
+    # the states are bona fide by construction, so no op solves an
+    # eigenproblem to check them: the tests hold them to assert_physical.
+    # eigvalsh cost ~10% of a run op; the non-Hermitian eigvals of i Omega V
+    # cost twice that and rejected valid states above ~80 dB
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"np.linalg.{name} was called")
+        return call
 
-    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    for name in ("eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse(name))
     code, out, err = run_cli(capsys, argv[0], str(CONFIGS / "paper.cfg"), *argv[1:])
     assert code == 0, err
     assert json.loads(out)
@@ -1014,6 +1019,44 @@ def test_numeric_error_is_the_only_line_on_stderr(capsys, tmp_path, command, tex
     assert out == ""
     assert [str(w.message) for w in caught] == []
     assert len(err.splitlines()) == 1 and err.startswith("numeric error:")
+
+
+_SQUEEZER_3100 = "[squeezer_i]\nsqueezing_db = 3100\nantisqueezing_db = 3100\n"
+_SQUEEZING_SWEEP = ("sweep", "--param", "squeezing_db", "--steps", "5")
+
+
+@pytest.mark.parametrize("text, command, message", (
+    *((_SQUEEZER_3100, command,
+       "squeezer variance overflows: antisqueezing 3100.0 dB is out of the float range")
+      for command in (("run",), ("criteria",), ("sample", "--shots", "16"),
+                      ("sample", "--shots", "16", "--sampled"))),
+    ("", (*_SQUEEZING_SWEEP, "--from", "3000", "--to", "4000"),
+     "squeezer variance overflows: antisqueezing 3250.0 dB is out of the float range"),
+    # a gain squared times an antisqueezed variance: run_analytic's stage
+    ("[gains]\ngx1 = 1e150\n", (*_SQUEEZING_SWEEP, "--from", "100", "--to", "110"),
+     "analytic clone variances overflows: a value is not finite"),
+    # finite clone variances whose fidelity's s_x s_p overflows
+    ("", (*_SQUEEZING_SWEEP, "--from", "2900", "--to", "3000"),
+     "clone fidelity overflows: an intermediate value is out of the float range"),
+), ids=("run", "criteria", "sample", "sample-sampled", "sweep-levels", "sweep-gain",
+        "sweep-fidelity"))
+def test_every_overflow_names_its_stage(capsys, tmp_path, text, command, message):
+    # numpy's own text ("overflow encountered in ...") names no stage
+    path = tmp_path / "overflow.cfg"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+    assert (code, out, err) == (2, "", f"numeric error: {message}\n")
+    assert "encountered in" not in err
+
+
+def test_clone_curve_names_an_overflow_without_a_warning():
+    config = protocol_config_from(parse_config("[gains]\ngx1 = 1e150\n"))
+    levels = np.linspace(100.0, 110.0, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError,
+                           match="^analytic clone variances overflows: a value is not finite$"):
+            clone_curve(config, levels, levels)
 
 
 def test_run_and_sweep_leave_scipy_and_configparser_unimported():

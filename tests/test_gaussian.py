@@ -432,15 +432,11 @@ def _exact_smallest_eigenvalue(cov):
 
 
 @pytest.mark.parametrize("impurity_db", (0.0, 3.0), ids=("pure", "impure"))
-def test_physicality_check_agrees_with_a_60_digit_oracle(monkeypatch, impurity_db):
+def test_physicality_check_agrees_with_a_60_digit_oracle(impurity_db):
     # every symmetric resource is physical by construction, up to the
     # rounding of its float covariance, which grows with the squeezing
-    built = []
-    monkeypatch.setattr("telecloning.resource.assert_physical",
-                        lambda state, context: built.append(state))
-    for level in np.linspace(0.0, 150.0, 11):
-        spec = SqueezerSpec(level, level + impurity_db)
-        build_telecloning_resource(spec, spec)
+    built = [build_telecloning_resource(spec, spec) for spec in
+             (SqueezerSpec(level, level + impurity_db) for level in np.linspace(0.0, 150.0, 11))]
     for state in built:
         cov = state.cov
         exact = _exact_smallest_eigenvalue(cov)
@@ -471,7 +467,7 @@ def test_conditioned_modes_check_agrees_with_a_60_digit_oracle():
     configs += [wide_config(rng) for _ in range(40)]
     q = [sel.index() for sel in READOUT]
     for config in configs:
-        plan = config.plan  # the check passes
+        plan = config.plan  # it builds: no conditioned variance rounds to 0 or below
         detected = circuit_states(config)["detected"].cov
         kk, kq, qq = (detected[np.ix_(rows, cols)] for rows, cols in
                       ((KEPT, KEPT), (KEPT, q), (q, q)))
@@ -483,6 +479,7 @@ def test_conditioned_modes_check_agrees_with_a_60_digit_oracle():
         bound = PHYSICALITY_TOL + 8 * 4 * np.finfo(float).eps * np.abs(kk).sum(axis=1).max()
         computed = np.linalg.eigvalsh(plan.cond_cov + 0.25j * symplectic_form(2))[0]
         assert abs(computed - exact) <= bound, (config.spec_i, computed, exact, bound)
+        _assert_bona_fide(plan.cond_cov, kk, "conditioned receiver modes")  # no op checks it
     # a conditioned thermal mode 2e-9 below the vacuum fails
     detected = np.diag([1.0] * 4 + [0.25 - 2e-9] * 4)
     kept = detected[np.ix_(KEPT, KEPT)]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from telecloning import (
     GaussianState,
@@ -12,6 +13,7 @@ from telecloning import (
     QuadratureSelector,
     SqueezerSpec,
     alice_trace_levels,
+    assert_physical,
     circuit_states,
     condition_on,
     clone_output_state,
@@ -24,7 +26,13 @@ from telecloning import (
     run_monte_carlo,
     shot_normals,
 )
-from telecloning.gaussian import beam_splitter_50_50, compose, loss_map, symplectic_map
+from telecloning.gaussian import (
+    _assert_bona_fide,
+    beam_splitter_50_50,
+    compose,
+    loss_map,
+    symplectic_map,
+)
 from telecloning.protocol import (
     _CHUNK_SHOTS,
     MODE_A,
@@ -32,6 +40,7 @@ from telecloning.protocol import (
     MODE_C,
     MODE_IN,
     READOUT,
+    _KEEP,
     _measurement_plan,
     _psd_sqrt,
     _sender_channels,
@@ -609,6 +618,49 @@ def test_clone_output_is_physical_wherever_the_plan_builds():
         assert is_physical(clone_output_state(config)), name
         built += 1
     assert built >= 100
+
+
+@st.composite
+def fuzz_configs(draw) -> ProtocolConfig:
+    """Squeezers at 0-200 dB, pure or up to 50 dB impure; gains 0, 1 or in
+    [-3, 3]; resource transmissivities 0, 1e-9, 1 or in [0, 1]; homodyne and
+    coupler transmissivities 1e-9, 1 or in (0, 1]."""
+    def squeezer():
+        level = draw(st.floats(0.0, 200.0))
+        return SqueezerSpec(level, level + draw(st.one_of(st.just(0.0), st.floats(0.0, 50.0))))
+
+    def open_eta():
+        return draw(st.one_of(st.sampled_from([1e-9, 1.0]),
+                              st.floats(0.0, 1.0, exclude_min=True)))
+
+    spec_i, spec_ii = squeezer(), squeezer()
+    gains = tuple(draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-3.0, 3.0)))
+                  for _ in range(4))
+    eta_resource = tuple(draw(st.one_of(st.sampled_from([0.0, 1e-9, 1.0]), st.floats(0.0, 1.0)))
+                         for _ in range(3))
+    alpha = complex(draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0)))
+    return ProtocolConfig(spec_i, spec_ii, input_alpha=alpha, gains=gains,
+                          eta_homodyne=open_eta(), eta_resource=eta_resource,
+                          coupler_t=open_eta())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(config=fuzz_configs())
+def test_every_state_is_bona_fide_by_construction(config):
+    # no command checks the bona fide condition: squeezers within the
+    # uncertainty bound, splitters, losses with eta in [0, 1] and homodyne
+    # conditioning keep it, so the resource, the conditioned receiver modes
+    # (within the rounding of the kept block they come from) and the clone
+    # output pass it wherever the plan builds
+    assert_physical(config.resource)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # as the CLI runs it
+            plan = config.plan
+    except FloatingPointError:  # an overflow, or a conditioned variance rounded to <= 0
+        return
+    kept = circuit_states(config)["detected"].cov[np.ix_(_KEEP, _KEEP)]
+    _assert_bona_fide(plan.cond_cov, kept, "conditioned receiver modes")
+    assert_physical(clone_output_state(config))
 
 
 def test_pipeline_keeps_the_transmissivity_check():

@@ -229,7 +229,8 @@ def test_squeezer_variances_apply_spec_checks_elementwise():
         squeezer_variances(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
     with pytest.raises(PhysicalityError, match="squeezing 6.0 dB"):
         squeezer_variances(np.array([1.0, 6.0]), np.array([1.0, 3.0]))
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(FloatingPointError, match=r"^squeezer variance overflows: "
+                                                 r"antisqueezing 1e\+308 dB is out of"):
         squeezer_variances(np.array([0.0, 1e308]), np.array([0.0, 1e308]))
 
 

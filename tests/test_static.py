@@ -10,6 +10,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "telecloning"
 METRICS = PACKAGE / "metrics.py"
 # builders of a channel or operator from the generic gaussian ones
 ASSEMBLERS = {"loss_map", "compose", "symplectic_map", "eye"}
+# the bona fide checks, and the eigenproblems they solve
+BONA_FIDE_CHECKS = {"assert_physical", "is_physical", "_assert_bona_fide", "eigvalsh", "eigvals"}
 
 
 def test_metrics_makes_no_linalg_call():
@@ -53,6 +55,20 @@ def test_circuit_route_assembles_no_operator_per_call(module):
     # symplectic_map or np.eye operators per call cost ~40% of a run op
     calls = _assembly_calls(ast.parse((PACKAGE / module).read_text()))
     assert not calls, f"{module} assembles operators per call: {calls}"
+
+
+@pytest.mark.parametrize("module", ("protocol.py", "resource.py"))
+def test_circuit_route_solves_no_eigenproblem_to_check_a_state(module):
+    # every element takes bona fide states to bona fide states, so the
+    # route's states are physical by construction and the tests hold them to
+    # assert_physical; a bona fide check per op cost ~10% of a run op.
+    # Sampled mode's eigh factors the conditioned covariance for the draws
+    tree = ast.parse((PACKAGE / module).read_text())
+    calls = sorted({(_name(node.func), node.lineno)
+                    for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                    for node in ast.walk(f) if isinstance(node, ast.Call)
+                    and _name(node.func) in BONA_FIDE_CHECKS})
+    assert not calls, f"{module} checks a state per call: {calls}"
 
 
 def test_every_plan_field_is_read_by_a_route():
